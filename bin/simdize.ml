@@ -21,23 +21,18 @@ let read_input = function
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-let policy_conv =
+(* A cmdliner converter over a name table's [of_name] / [name] pair. *)
+let name_conv what of_name name =
   let parse s =
-    match Simd.Policy.of_name s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown policy %S" s))
+    Option.to_result ~none:(`Msg (Printf.sprintf "unknown %s %S" what s))
+      (of_name s)
   in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Simd.Policy.name p))
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (name v))
+
+let policy_conv = name_conv "policy" Simd.Policy.of_name Simd.Policy.name
 
 let reuse_conv =
-  let parse = function
-    | "plain" | "none" -> Ok Simd.Driver.No_reuse
-    | "pc" -> Ok Simd.Driver.Predictive_commoning
-    | "sp" -> Ok Simd.Driver.Software_pipelining
-    | s -> Error (`Msg (Printf.sprintf "unknown reuse strategy %S" s))
-  in
-  Arg.conv
-    (parse, fun fmt r -> Format.pp_print_string fmt (Simd.Driver.reuse_name r))
+  name_conv "reuse strategy" Simd.Driver.reuse_of_name Simd.Driver.reuse_name
 
 let emit_conv =
   let parse = function

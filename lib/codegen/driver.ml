@@ -68,6 +68,174 @@ let default =
     cleanup = false;
   }
 
+let reuse_of_name = function
+  | "plain" | "none" -> Some No_reuse
+  | "pc" -> Some Predictive_commoning
+  | "sp" -> Some Software_pipelining
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* The knob vocabulary                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type _ kind = Bool : bool kind | Int : int kind | Name : string kind
+
+type field =
+  | Field : {
+      key : string;
+      kind : 'a kind;
+      get : config -> 'a;
+      set : 'a -> config -> (config, string) result;
+    }
+      -> field
+
+let field key kind get set =
+  Field { key; kind; get; set = (fun v c -> Ok (set v c)) }
+
+let named key get of_name what set =
+  let set s c =
+    match of_name s with
+    | Some v -> Ok (set v c)
+    | None -> Error (Printf.sprintf "unknown %s %S" what s)
+  in
+  Field { key; kind = Name; get; set }
+
+let set_vl vector_len c =
+  match Simd_machine.Config.create ~vector_len with
+  | machine -> Ok { c with machine }
+  | exception Invalid_argument m -> Error m
+
+(* Header order: every cache key and reproducer header lists the fields
+   in this order. *)
+let fields =
+  [
+    Field
+      {
+        key = "vl";
+        kind = Int;
+        get = (fun c -> Simd_machine.Config.vector_len c.machine);
+        set = set_vl;
+      };
+    named "policy" (fun c -> Policy.name c.policy) Policy.of_name "policy"
+      (fun policy c -> { c with policy });
+    named "reuse" (fun c -> reuse_name c.reuse) reuse_of_name "reuse strategy"
+      (fun reuse c -> { c with reuse });
+    field "memnorm" Bool (fun c -> c.memnorm) (fun memnorm c ->
+        { c with memnorm });
+    field "reassoc" Bool (fun c -> c.reassoc) (fun reassoc c ->
+        { c with reassoc });
+    field "cse" Bool (fun c -> c.cse) (fun cse c -> { c with cse });
+    field "hoist" Bool (fun c -> c.hoist_splats) (fun hoist_splats c ->
+        { c with hoist_splats });
+    field "unroll" Int (fun c -> c.unroll) (fun unroll c -> { c with unroll });
+    field "specialize" Bool (fun c -> c.specialize_epilogue)
+      (fun specialize_epilogue c -> { c with specialize_epilogue });
+    field "peel" Bool (fun c -> c.peel_baseline) (fun peel_baseline c ->
+        { c with peel_baseline });
+    field "cleanup" Bool (fun c -> c.cleanup) (fun cleanup c ->
+        { c with cleanup });
+  ]
+
+let find_field key = List.find_opt (fun (Field f) -> f.key = key) fields
+
+let config_to_string c =
+  let text : type a. a kind -> a -> string =
+   fun kind v ->
+    match kind with
+    | Bool -> if v then "1" else "0"
+    | Int -> string_of_int v
+    | Name -> v
+  in
+  String.concat " "
+    (List.map (fun (Field f) -> f.key ^ "=" ^ text f.kind (f.get c)) fields)
+
+let parse_value : type a. string -> a kind -> string -> (a, string) result =
+ fun key kind s ->
+  let expected what =
+    Error (Printf.sprintf "field %s: expected %s, got %S" key what s)
+  in
+  match kind with
+  | Bool -> (
+    match s with
+    | "0" | "false" -> Ok false
+    | "1" | "true" -> Ok true
+    | _ -> expected "boolean")
+  | Int -> (
+    match int_of_string_opt s with
+    | Some n -> Ok n
+    | None -> expected "integer")
+  | Name -> Ok s
+
+let set_token c token =
+  match String.index_opt token '=' with
+  | None ->
+    Error (Printf.sprintf "malformed field %S (expected key=value)" token)
+  | Some i -> (
+    let key = String.sub token 0 i in
+    let v = String.sub token (i + 1) (String.length token - i - 1) in
+    match find_field key with
+    | None -> Error (Printf.sprintf "unknown field %S" key)
+    | Some (Field f) ->
+      Result.bind (parse_value key f.kind v) (fun v -> f.set v c))
+
+let config_of_string ?(base = default) s =
+  List.fold_left
+    (fun acc token ->
+      if token = "" then acc else Result.bind acc (fun c -> set_token c token))
+    (Ok base) (String.split_on_char ' ' s)
+
+type knob = {
+  name : string;
+  doc : string;
+  on : config -> bool;
+  off : config -> config;
+}
+
+let knob name doc on off = { name; doc; on; off }
+
+(* [off] of a knob that is already off changes nothing the pipeline sees. *)
+module Knob = struct
+  let reassoc =
+    knob "reassoc" "common-offset reassociation of the scalar AST (§5.5)"
+      (fun c -> c.reassoc) (fun c -> { c with reassoc = false })
+
+  let hoist_splats =
+    knob "hoist_splats" "loop-invariant vsplat hoisting into the prologue"
+      (fun c -> c.hoist_splats) (fun c -> { c with hoist_splats = false })
+
+  let memnorm =
+    knob "memnorm" "load-address normalization to V-aligned chunks"
+      (fun c -> c.memnorm) (fun c -> { c with memnorm = false })
+
+  let cse =
+    knob "cse" "local value numbering (three-address form)"
+      (fun c -> c.cse) (fun c -> { c with cse = false })
+
+  let predictive_commoning =
+    let on c = c.reuse = Predictive_commoning in
+    knob "predictive_commoning" "cross-iteration value reuse via carried temps"
+      on (fun c -> if on c then { c with reuse = No_reuse } else c)
+
+  let unroll =
+    knob "unroll" "steady-body unrolling with seam-restore coalescing (§4.5)"
+      (fun c -> c.unroll > 1) (fun c -> { c with unroll = 1 })
+
+  let specialize_epilogue =
+    knob "specialize_epilogue" "guard folding for compile-time trip counts"
+      (fun c -> c.specialize_epilogue)
+      (fun c -> { c with specialize_epilogue = false })
+
+  let vir_cleanup =
+    knob "vir_cleanup"
+      "dataflow-backed cleanup: copy propagation, shift combining, \
+       invariant hoisting, DCE"
+      (fun c -> c.cleanup) (fun c -> { c with cleanup = false })
+end
+
+let knobs =
+  Knob.[ reassoc; hoist_splats; memnorm; cse; predictive_commoning; unroll;
+         specialize_epilogue; vir_cleanup ]
+
 (** Why a loop was left scalar. *)
 type reason =
   | Illegal of Analysis.error
@@ -129,18 +297,19 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
     on_stage ~name st;
     st
   in
+  let gated knob = stage ~name:knob.name ~enabled:(knob.on config) in
   let st =
     { st_prologue = prog.Prog.prologue; st_body = prog.Prog.body; st_epilogues = [] }
   in
   let st =
-    stage ~name:"hoist_splats" ~enabled:config.hoist_splats st (fun st ->
+    gated Knob.hoist_splats st (fun st ->
         let p, b =
           Passes.hoist_splats ~names ~prologue:st.st_prologue ~body:st.st_body
         in
         { st with st_prologue = p; st_body = b })
   in
   let st =
-    stage ~name:"memnorm" ~enabled:config.memnorm st (fun st ->
+    gated Knob.memnorm st (fun st ->
         {
           st with
           st_body = Passes.memnorm ~analysis st.st_body;
@@ -148,23 +317,23 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
         })
   in
   let st =
-    stage ~name:"cse" ~enabled:config.cse st (fun st ->
+    gated Knob.cse st (fun st ->
         { st with st_body = Passes.cse ~names st.st_body })
   in
   let st =
-    stage ~name:"predictive_commoning"
-      ~enabled:(config.reuse = Predictive_commoning) st (fun st ->
+    gated Knob.predictive_commoning st (fun st ->
         let inits, b =
           Passes.predictive_commoning ~block:prog.Prog.block
             ~lb:prog.Prog.lower ~prologue:st.st_prologue
-            (if config.cse then st.st_body else Passes.cse ~names st.st_body)
+            (if Knob.cse.on config then st.st_body
+             else Passes.cse ~names st.st_body)
         in
         { st with st_body = b; st_prologue = st.st_prologue @ inits })
   in
   (* A second [cse] event: the prologue is value-numbered only after
      predictive commoning has appended its carried-temp initializers. *)
   let st =
-    stage ~name:"cse" ~enabled:config.cse st (fun st ->
+    gated Knob.cse st (fun st ->
         { st with st_prologue = Passes.cse ~names st.st_prologue })
   in
   (* Rebuild the per-iteration epilogue template from the optimized (but
@@ -175,7 +344,7 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
   in
   let unroll = max 1 config.unroll in
   let st =
-    stage ~name:"unroll" ~enabled:(unroll > 1) st (fun st ->
+    gated Knob.unroll st (fun st ->
         {
           st with
           st_body = Passes.unroll ~block:prog.Prog.block ~factor:unroll st.st_body;
@@ -187,13 +356,13 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
     | Ast.Trip_param _ -> None
   in
   let n_virtual = unroll + 1 in
-  (* Always runs; [config.specialize_epilogue] selects between exit-counter
+  (* Always runs; [Knob.specialize_epilogue] selects between exit-counter
      specialization (compile-time trip) and the generic guarded template. *)
   let st =
     stage ~name:"derive_epilogues" ~enabled:true st (fun st ->
         let prog_shape = { prog with Prog.body = st.st_body; unroll } in
         let epilogues =
-          match (config.specialize_epilogue, trip_const) with
+          match (Knob.specialize_epilogue.on config, trip_const) with
           | true, Some trip ->
             let exit = Prog.exit_counter prog_shape ~trip in
             List.init n_virtual (fun k ->
@@ -229,7 +398,7 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
         { st with st_epilogues = Passes.dce st.st_epilogues })
   in
   let st =
-    stage ~name:"vir_cleanup" ~enabled:config.cleanup st (fun st ->
+    gated Knob.vir_cleanup st (fun st ->
         let p, b, e =
           Passes.vir_cleanup
             ~v:(Simd_machine.Config.vector_len config.machine)
@@ -313,7 +482,7 @@ let simdize ?(trace = Trace.none) ?(check = false) (config : config)
   | Error e -> Scalar (Illegal e)
   | Ok analysis -> (
     let program, analysis =
-      if config.reassoc then begin
+      if Knob.reassoc.on config then begin
         let before =
           if Trace.active trace then Pp.program_to_string program else ""
         in
@@ -433,8 +602,9 @@ let simdize ?(trace = Trace.none) ?(check = false) (config : config)
         let last_body = ref prog.Prog.body in
         let on_stage ~name (st : pstate) =
           if check then begin
-            if name = "memnorm" then normalized := config.memnorm;
-            if name = "unroll" && config.unroll > 1 then
+            if name = Knob.memnorm.name then
+              normalized := Knob.memnorm.on config;
+            if name = Knob.unroll.name && Knob.unroll.on config then
               record_check name
                 (Check.check_unroll ~analysis ~factor:config.unroll
                    ~pre:!last_body ~post:st.st_body);

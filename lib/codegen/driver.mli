@@ -11,7 +11,6 @@ open Simd_loopir
 open Simd_vir
 module Policy = Simd_dreorg.Policy
 module Graph = Simd_dreorg.Graph
-module Reassoc = Simd_dreorg.Reassoc
 module Trace = Simd_trace.Trace
 module Check = Simd_check.Check
 
@@ -40,6 +39,64 @@ type config = {
 val default : config
 (** 16-byte machine, dominant-shift, software pipelining, MemNorm + CSE +
     splat hoisting on, no reassociation, no unrolling. *)
+
+val reuse_of_name : string -> reuse option
+(** Inverts {!reuse_name}; also accepts ["none"] for [No_reuse]. *)
+
+(** {1 The knob vocabulary}
+
+    Every tool that names, prints, parses or toggles configuration reads
+    these two tables: the reproducer-header and cache-key text codec, the
+    serve JSON codec, pass gating in {!run_passes}, fuzz bisection and
+    shrinking. *)
+
+type _ kind = Bool : bool kind | Int : int kind | Name : string kind
+
+(** One config field: its key in [key=value] text and JSON, and a typed
+    getter and setter. [set] rejects values the field cannot hold (a
+    vector length that is not a power of two, an unknown policy name). *)
+type field =
+  | Field : {
+      key : string;
+      kind : 'a kind;
+      get : config -> 'a;
+      set : 'a -> config -> (config, string) result;
+    }
+      -> field
+
+val fields : field list
+(** Every config field, in header order
+    ([vl policy reuse memnorm reassoc cse hoist unroll specialize peel
+    cleanup]). *)
+
+val find_field : string -> field option
+(** The field with this key, if any. *)
+
+val config_to_string : config -> string
+(** [key=value] for every field, space-separated, booleans as [0]/[1] —
+    the reproducer header and the serve cache key. Two configs are equal
+    iff their strings are. *)
+
+val config_of_string : ?base:config -> string -> (config, string) result
+(** Apply space-separated [key=value] tokens over [base] (default
+    {!default}). Booleans accept [0]/[1]/[false]/[true]. Inverts
+    {!config_to_string}. *)
+
+(** One config-gated pass: its trace and bisection name, a one-line
+    charter, whether a configuration runs it, and that configuration with
+    it turned off. *)
+type knob = {
+  name : string;
+  doc : string;
+  on : config -> bool;
+  off : config -> config;
+}
+
+val knobs : knob list
+(** The config-gated passes in application order: [reassoc hoist_splats
+    memnorm cse predictive_commoning unroll specialize_epilogue
+    vir_cleanup]. [reassoc] rewrites the scalar AST before placement; the
+    rest transform the generated vector IR. *)
 
 type reason =
   | Illegal of Analysis.error

@@ -45,16 +45,6 @@ val unroll : block:int -> factor:int -> Expr.stmt list -> Expr.stmt list
 (** Replicate the steady body with forward-propagated carries; seam
     restores are coalesced away for depth-1 carry chains (zero copies). *)
 
-val fold_rexpr :
-  analysis:Analysis.t -> trip:int option -> i:int option -> Rexpr.t -> Rexpr.t
-
-val fold_cond :
-  analysis:Analysis.t ->
-  trip:int option ->
-  i:int option ->
-  Rexpr.cond ->
-  [ `Known of bool | `Cond of Rexpr.cond ]
-
 val specialize :
   analysis:Analysis.t ->
   trip:int option ->

@@ -1,19 +1,18 @@
 (** Pipeline bisection of a failing fuzz case: name the first optimization
     pass whose output diverges.
 
-    Every optional pass of the driver pipeline is config-gated, so no
-    driver surgery is needed: bisection re-runs the differential oracle on
-    the same case with config prefixes of the pipeline, in application
-    order. With [k] passes enabled the oracle exercises exactly the
-    pipeline up to pass [k]; the first [k] whose enablement flips the
-    verdict from pass to failure names the culprit. At most
-    [length passes + 1] oracle runs per case — each a full scalar-vs-simd
-    differential check, so a named culprit means "the first pass whose
-    enablement produces an observably wrong compilation", not a guess from
-    IR shape. *)
+    Every optional pass of the driver pipeline is a knob
+    ({!Simd_codegen.Driver.knobs}), so no driver surgery is needed:
+    bisection re-runs the differential oracle on the same case with knob
+    prefixes of the pipeline, in application order. With [k] passes
+    enabled the oracle exercises exactly the pipeline up to pass [k]; the
+    first [k] whose enablement flips the verdict from pass to failure
+    names the culprit. At most [length knobs + 1] oracle runs per case —
+    each a full scalar-vs-simd differential check, so a named culprit
+    means "the first pass whose enablement produces an observably wrong
+    compilation", not a guess from IR shape. *)
 
 module Driver = Simd_codegen.Driver
-module Trace = Simd_trace.Trace
 
 type verdict =
   | First_diverging of string
@@ -34,48 +33,11 @@ let verdict_name = function
 
 let pp_verdict fmt v = Format.pp_print_string fmt (verdict_name v)
 
-(* [disable_from config names] — turn off every pass in [names]. A pass
-   absent from the case's configuration (pc when reuse isn't pc, unroll at
-   factor 1) is already off; disabling it is the identity, which is what
-   keeps prefix semantics honest. *)
-let disable name (c : Driver.config) : Driver.config =
-  match name with
-  | "reassoc" -> { c with Driver.reassoc = false }
-  | "hoist_splats" -> { c with Driver.hoist_splats = false }
-  | "memnorm" -> { c with Driver.memnorm = false }
-  | "cse" -> { c with Driver.cse = false }
-  | "predictive_commoning" ->
-    if c.Driver.reuse = Driver.Predictive_commoning then
-      { c with Driver.reuse = Driver.No_reuse }
-    else c
-  | "unroll" -> { c with Driver.unroll = 1 }
-  | "specialize_epilogue" -> { c with Driver.specialize_epilogue = false }
-  | "vir_cleanup" -> { c with Driver.cleanup = false }
-  | _ -> invalid_arg ("Bisect.disable: unknown pass " ^ name)
-
-(* Is this pass actually on in the case's configuration? Disabled passes
-   cannot be culprits and are skipped when reporting. *)
-let enabled_in (c : Driver.config) name =
-  match name with
-  | "reassoc" -> c.Driver.reassoc
-  | "hoist_splats" -> c.Driver.hoist_splats
-  | "memnorm" -> c.Driver.memnorm
-  | "cse" -> c.Driver.cse
-  | "predictive_commoning" -> c.Driver.reuse = Driver.Predictive_commoning
-  | "unroll" -> c.Driver.unroll > 1
-  | "specialize_epilogue" -> c.Driver.specialize_epilogue
-  | "vir_cleanup" -> c.Driver.cleanup
-  | _ -> false
-
 let with_prefix (case : Case.t) k : Case.t =
-  (* keep the first [k] pipeline passes at the case's setting, disable the
-     rest *)
-  let _, config =
-    List.fold_left
-      (fun (i, c) name -> (i + 1, if i < k then c else disable name c))
-      (0, case.Case.config) Trace.pass_names
-  in
-  { case with Case.config }
+  (* keep the first [k] knobs at the case's setting, turn the rest off *)
+  let rest = List.filteri (fun i _ -> i >= k) Driver.knobs in
+  let off c knob = knob.Driver.off c in
+  { case with Case.config = List.fold_left off case.Case.config rest }
 
 (** [run case] — bisect a failing [case]. Deterministic: same case, same
     verdict. [on_step] (diagnostics) sees each probed prefix length and
@@ -86,7 +48,7 @@ let run ?(on_step = fun _ _ -> ()) (case : Case.t) : verdict =
     on_step k o;
     o
   in
-  let n = List.length Trace.pass_names in
+  let n = List.length Driver.knobs in
   if not (Oracle.is_failure (outcome_at n)) then Vanished
   else if Oracle.is_failure (outcome_at 0) then Core
   else begin
@@ -101,7 +63,7 @@ let run ?(on_step = fun _ _ -> ()) (case : Case.t) : verdict =
            rules out *)
         assert false
       else if Oracle.is_failure (outcome_at k) then
-        List.nth Trace.pass_names (k - 1)
+        (List.nth Driver.knobs (k - 1)).Driver.name
       else scan (k + 1)
     in
     (* The flip pass is necessarily enabled in the case's configuration:

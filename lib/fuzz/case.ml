@@ -21,7 +21,6 @@
 
 open Simd_loopir
 module Driver = Simd_codegen.Driver
-module Policy = Simd_dreorg.Policy
 
 type t = {
   program : Ast.program;
@@ -40,33 +39,6 @@ let effective_trip (c : t) =
     | None -> invalid_arg "Case.effective_trip: runtime trip without a value")
 
 (* ------------------------------------------------------------------ *)
-(* Config field names                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let reuse_of_name = function
-  | "plain" -> Some Driver.No_reuse
-  | "pc" -> Some Driver.Predictive_commoning
-  | "sp" -> Some Driver.Software_pipelining
-  | _ -> None
-
-let bool_field b = if b then "1" else "0"
-
-let config_to_string (cfg : Driver.config) =
-  Printf.sprintf
-    "vl=%d policy=%s reuse=%s memnorm=%s reassoc=%s cse=%s hoist=%s \
-     unroll=%d specialize=%s peel=%s cleanup=%s"
-    (Simd_machine.Config.vector_len cfg.Driver.machine)
-    (Policy.name cfg.Driver.policy)
-    (Driver.reuse_name cfg.Driver.reuse)
-    (bool_field cfg.Driver.memnorm) (bool_field cfg.Driver.reassoc)
-    (bool_field cfg.Driver.cse)
-    (bool_field cfg.Driver.hoist_splats)
-    cfg.Driver.unroll
-    (bool_field cfg.Driver.specialize_epilogue)
-    (bool_field cfg.Driver.peel_baseline)
-    (bool_field cfg.Driver.cleanup)
-
-(* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -74,7 +46,8 @@ let to_string (c : t) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "// simd-fuzz reproducer\n";
   Buffer.add_string buf
-    (Printf.sprintf "// fuzz-config: %s seed=%d\n" (config_to_string c.config)
+    (Printf.sprintf "// fuzz-config: %s seed=%d\n"
+       (Driver.config_to_string c.config)
        c.setup_seed);
   (match c.trip with
   | Some t -> Buffer.add_string buf (Printf.sprintf "// fuzz-trip: %d\n" t)
@@ -86,45 +59,19 @@ exception Bad_header of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad_header m)) fmt
 
-let parse_kv token =
-  match String.index_opt token '=' with
-  | Some i ->
-    ( String.sub token 0 i,
-      String.sub token (i + 1) (String.length token - i - 1) )
-  | None -> fail "malformed field %S (expected key=value)" token
-
-let parse_bool key = function
-  | "0" | "false" -> false
-  | "1" | "true" -> true
-  | v -> fail "field %s: expected boolean, got %S" key v
-
-let parse_int key v =
+let int_field key v =
   match int_of_string_opt v with
   | Some n -> n
   | None -> fail "field %s: expected integer, got %S" key v
 
-let apply_field (cfg, seed) (key, v) =
-  let open Driver in
-  match key with
-  | "vl" -> ({ cfg with machine = Simd_machine.Config.create ~vector_len:(parse_int key v) }, seed)
-  | "policy" -> (
-    match Policy.of_name v with
-    | Some p -> ({ cfg with policy = p }, seed)
-    | None -> fail "unknown policy %S" v)
-  | "reuse" -> (
-    match reuse_of_name v with
-    | Some r -> ({ cfg with reuse = r }, seed)
-    | None -> fail "unknown reuse strategy %S" v)
-  | "memnorm" -> ({ cfg with memnorm = parse_bool key v }, seed)
-  | "reassoc" -> ({ cfg with reassoc = parse_bool key v }, seed)
-  | "cse" -> ({ cfg with cse = parse_bool key v }, seed)
-  | "hoist" -> ({ cfg with hoist_splats = parse_bool key v }, seed)
-  | "unroll" -> ({ cfg with unroll = parse_int key v }, seed)
-  | "specialize" -> ({ cfg with specialize_epilogue = parse_bool key v }, seed)
-  | "peel" -> ({ cfg with peel_baseline = parse_bool key v }, seed)
-  | "cleanup" -> ({ cfg with cleanup = parse_bool key v }, seed)
-  | "seed" -> (cfg, parse_int key v)
-  | _ -> fail "unknown field %S" key
+(* [seed=] rides in the config line but is not a config field. *)
+let apply_token (cfg, seed) token =
+  if String.starts_with ~prefix:"seed=" token then
+    (cfg, int_field "seed" (String.sub token 5 (String.length token - 5)))
+  else
+    match Driver.config_of_string ~base:cfg token with
+    | Ok cfg -> (cfg, seed)
+    | Error m -> fail "%s" m
 
 let header_payload ~prefix line =
   let line = String.trim line in
@@ -144,19 +91,15 @@ let of_string src : (t, string) result =
       (fun line ->
         (match header_payload ~prefix:"// fuzz-config:" line with
         | Some payload ->
-          let tokens =
-            List.filter (fun s -> s <> "") (String.split_on_char ' ' payload)
-          in
           let cfg', seed' =
-            List.fold_left
-              (fun acc tok -> apply_field acc (parse_kv tok))
-              (!cfg, !seed) tokens
+            List.fold_left apply_token (!cfg, !seed)
+              (String.split_on_char ' ' payload)
           in
           cfg := cfg';
           seed := seed'
         | None -> ());
         match header_payload ~prefix:"// fuzz-trip:" line with
-        | Some payload -> trip := Some (parse_int "fuzz-trip" payload)
+        | Some payload -> trip := Some (int_field "fuzz-trip" payload)
         | None -> ())
       lines;
     match Parse.program_of_string_result src with
@@ -189,7 +132,8 @@ let of_file path : (t, string) result =
   | Error m -> Error (Printf.sprintf "%s: %s" path m)
 
 let pp fmt (c : t) =
-  Format.fprintf fmt "config: %s seed=%d%s@\n%a" (config_to_string c.config)
+  Format.fprintf fmt "config: %s seed=%d%s@\n%a"
+    (Driver.config_to_string c.config)
     c.setup_seed
     (match c.trip with Some t -> Printf.sprintf " trip=%d" t | None -> "")
     Pp.pp_program c.program

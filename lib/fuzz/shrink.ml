@@ -218,35 +218,31 @@ let reuse_rank = function
 let config_variants (c : Case.t) : Case.t list =
   let cfg = c.Case.config in
   let open Driver in
-  let with_cfg config = { c with Case.config } in
-  List.map with_cfg
-    (List.filter_map
-       (fun p ->
-         if policy_rank p < policy_rank cfg.policy then Some { cfg with policy = p }
-         else None)
-       [
-         Policy.Zero;
-         Policy.Eager;
-         Policy.Lazy;
-         Policy.Dominant;
-         Policy.Optimal;
-         Policy.Auto;
-       ]
+  let variants =
+    List.filter_map
+      (fun p ->
+        if policy_rank p < policy_rank cfg.policy then Some { cfg with policy = p }
+        else None)
+      [
+        Policy.Zero;
+        Policy.Eager;
+        Policy.Lazy;
+        Policy.Dominant;
+        Policy.Optimal;
+        Policy.Auto;
+      ]
     @ List.filter_map
         (fun r ->
           if reuse_rank r < reuse_rank cfg.reuse then Some { cfg with reuse = r }
           else None)
         [ No_reuse; Predictive_commoning ]
-    @ (if cfg.memnorm then [ { cfg with memnorm = false } ] else [])
-    @ (if cfg.reassoc then [ { cfg with reassoc = false } ] else [])
-    @ (if cfg.cse then [ { cfg with cse = false } ] else [])
-    @ (if cfg.hoist_splats then [ { cfg with hoist_splats = false } ] else [])
+    (* every pass that is on proposes itself off *)
+    @ List.filter_map
+        (fun k -> if k.on cfg then Some (k.off cfg) else None)
+        knobs
     @ (if cfg.unroll > 1 then
          List.map (fun u -> { cfg with unroll = u })
            (Util.dedup [ 1; cfg.unroll - 1 ])
-       else [])
-    @ (if cfg.specialize_epilogue then
-         [ { cfg with specialize_epilogue = false } ]
        else [])
     @ (if cfg.peel_baseline then [ { cfg with peel_baseline = false } ] else [])
     @
@@ -256,7 +252,10 @@ let config_variants (c : Case.t) : Case.t list =
         if vl' < vl then
           Some { cfg with machine = Simd_machine.Config.create ~vector_len:vl' }
         else None)
-      [ 16; 8; 4 ])
+      [ 16; 8; 4 ]
+  in
+  (* the [predictive_commoning] and [unroll] knobs repeat a rank move *)
+  List.map (fun config -> { c with Case.config }) (Util.dedup variants)
 
 let seed_variants (c : Case.t) : Case.t list =
   if c.Case.setup_seed > 1 then

@@ -3,12 +3,6 @@
     are strictly smaller under a well-founded measure, so shrinking
     terminates; [max_steps] additionally bounds oracle runs. *)
 
-val normalize : Case.t -> Case.t
-(** Drop arrays and params nothing references. *)
-
-val candidates : Case.t -> Case.t list
-(** All one-step-smaller variants, in the order they are tried. *)
-
 val minimize :
   ?max_steps:int -> ?oracle:(Case.t -> Oracle.outcome) -> Case.t -> Case.t
 (** Shrink a failing case greedily (default oracle {!Oracle.run}, default

@@ -14,13 +14,12 @@
 
     Every [config] field is optional and defaults to the driver default;
     the field names and values are exactly the fuzz-header vocabulary of
-    [docs/LANGUAGE.md] ([vl], [policy], [reuse], [memnorm], [reassoc],
-    [cse], [hoist], [unroll], [specialize], [peel]). [emit] selects the
-    artifact's code sections from ["vir"], ["c"], ["altivec"], ["sse"],
-    ["avx2"], ["neon"] (default [["vir","c"]]). An ISA emit whose native
-    vector length differs from the request's [vl] yields a skipped-output
-    object instead of C text (see [docs/SERVER.md]) — the request still
-    succeeds.
+    [docs/LANGUAGE.md], read from {!Simd_codegen.Driver.fields}. [emit]
+    selects the artifact's code sections from ["vir"], ["c"], ["altivec"],
+    ["sse"], ["avx2"], ["neon"] (default [["vir","c"]]). An ISA emit whose
+    native vector length differs from the request's [vl] yields a
+    skipped-output object instead of C text (see [docs/SERVER.md]) — the
+    request still succeeds.
 
     {e Control requests} carry an [op] instead of a [source]:
     [{"op":"ping"}], [{"op":"stats"}] (telemetry snapshot — the one
@@ -73,11 +72,7 @@ val config_of_json : Json.t -> (Driver.config, string) result
     defaults. *)
 
 val config_to_json : Driver.config -> Json.t
-(** Full field set, canonical order — [config_of_json] inverts it. *)
-
-val config_canonical : Driver.config -> string
-(** Canonical [key=value] line for cache keys: two configs compare equal
-    iff their canonical strings do. *)
+(** Full field set, header order — [config_of_json] inverts it. *)
 
 val request_to_line : request -> string
 (** The request rendered as one protocol line (load generator, tests). *)

@@ -22,10 +22,16 @@ type telemetry = {
   mutable pool_errors : int;
   mutable pool_timeouts : int;
   mutable pool_crashes : int;
-  mutable latencies_ms : float list;  (** newest first *)
-  mutable latency_count : int;
+  latencies_ms : float array;
+      (** ring of the newest [latency_window] samples *)
+  mutable latency_next : int;  (** slot the next sample overwrites *)
+  mutable latency_count : int;  (** samples retained, ≤ [latency_window] *)
   started : float;
 }
+
+(* Bound the latency log: keep the newest window, plenty for stable
+   percentiles without unbounded growth in a long-lived daemon. *)
+let latency_window = 65536
 
 let fresh_telemetry () =
   {
@@ -41,14 +47,16 @@ let fresh_telemetry () =
     pool_errors = 0;
     pool_timeouts = 0;
     pool_crashes = 0;
-    latencies_ms = [];
+    latencies_ms = Array.make latency_window 0.;
+    latency_next = 0;
     latency_count = 0;
     started = Unix.gettimeofday ();
   }
 
-(* Bound the latency log: keep the newest window, plenty for stable
-   percentiles without unbounded growth in a long-lived daemon. *)
-let latency_window = 65536
+let record_latency tel ms =
+  tel.latencies_ms.(tel.latency_next) <- ms;
+  tel.latency_next <- (tel.latency_next + 1) mod latency_window;
+  tel.latency_count <- min latency_window (tel.latency_count + 1)
 
 let percentile sorted p =
   match Array.length sorted with
@@ -74,12 +82,10 @@ let create ?(jobs = 1) ?(timeout = 30.) ?(max_batch = 64) ?cache ?trace () =
     tel = fresh_telemetry ();
   }
 
-let cache t = t.cache_store
-
 let telemetry t =
   let tel = t.tel in
-  let sorted = Array.of_list tel.latencies_ms in
-  Array.sort compare sorted;
+  let sorted = Array.sub tel.latencies_ms 0 tel.latency_count in
+  Array.sort Float.compare sorted;
   Json.Obj
     [
       ("schema", Json.String Protocol.schema);
@@ -330,20 +336,9 @@ let handle_batch t (lines : string list) : string list * bool =
   (* One latency sample per request: what a client in this batch saw. *)
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let compiles = List.length !order in
-  if depth > 0 then begin
-    let rec add n acc = if n = 0 then acc else add (n - 1) (elapsed_ms :: acc) in
-    t.tel.latencies_ms <- add depth t.tel.latencies_ms;
-    t.tel.latency_count <- t.tel.latency_count + depth;
-    if t.tel.latency_count > latency_window then begin
-      (* trim to the newest window *)
-      let rec take n = function
-        | x :: rest when n > 0 -> x :: take (n - 1) rest
-        | _ -> []
-      in
-      t.tel.latencies_ms <- take latency_window t.tel.latencies_ms;
-      t.tel.latency_count <- min t.tel.latency_count latency_window
-    end
-  end;
+  for _ = 1 to depth do
+    record_latency t.tel elapsed_ms
+  done;
   if Trace.active t.trace then
     Trace.note t.trace ~timed:true ~label:"serve.batch"
       (Printf.sprintf "depth=%d unique_compiles=%d elapsed_ms=%.3f" depth

@@ -43,8 +43,6 @@ val create :
     per pooled request (ignored inline), [max_batch = 64], no cache, no
     trace. *)
 
-val cache : t -> Cas.t option
-
 val telemetry : t -> Json.t
 (** Deterministic counters plus wall-clock data (latency percentiles,
     uptime) — the [{"op":"stats"}] response body. *)

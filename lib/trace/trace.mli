@@ -11,23 +11,13 @@
     - {b Zero cost when off}: the {!none} sink is inert; the driver guards
       snapshot construction behind {!active}, so untraced compilations do
       no extra work.
-    - {b Deterministic}: {!pp} and {!to_json} with [~timings:false] (the
+    - {b Deterministic}: {!to_string} and {!to_json} with [~timings:false] (the
       default) are pure functions of the compilation — no timestamps —
       so transcripts can be embedded in [docs/] and drift-checked by CI.
     - {b Machine readable}: {!to_json} follows the [simd-trace/1] schema
       documented in [docs/TRACE.md]. *)
 
 module Diff = Diff
-
-(** {1 The pass registry} *)
-
-val pipeline : (string * string) list
-(** The config-gated passes of the driver pipeline in application order,
-    each with a one-line charter — the shared vocabulary between the
-    driver's trace events, the fuzz bisector, and the documentation. *)
-
-val pass_names : string list
-(** [List.map fst pipeline]. *)
 
 (** {1 Snapshots} *)
 
@@ -81,7 +71,9 @@ type event =
   | Generated of { mode : string; snap : snapshot }
       (** initial vector IR out of code generation *)
   | Pass of {
-      name : string;  (** a {!pipeline} name or a structural stage *)
+      name : string;
+          (** a knob name ([Simd_codegen.Driver.knobs]) or a structural
+              stage *)
       enabled : bool;  (** configured to run? (skips are recorded too) *)
       before : snapshot;
       after : snapshot;
@@ -137,12 +129,10 @@ val record_pass :
 
 (** {1 Rendering} *)
 
-val pp : ?timings:bool -> Format.formatter -> t -> unit
+val to_string : ?timings:bool -> t -> string
 (** The human transcript: one block per event with unified line diffs and
     nonzero count deltas. Deterministic unless [timings] (default
     [false]). *)
-
-val to_string : ?timings:bool -> t -> string
 
 val to_json : ?timings:bool -> t -> Simd_support.Json.t
 (** The full machine-readable trace, schema [simd-trace/1] (documented in

@@ -47,13 +47,90 @@ let test_case_roundtrip () =
       check_bool "program round trips" true
         (Ast.equal_program case.Fuzz.Case.program case'.Fuzz.Case.program);
       check_bool "config round trips" true
-        (Fuzz.Case.config_to_string case.Fuzz.Case.config
-        = Fuzz.Case.config_to_string case'.Fuzz.Case.config);
+        (Driver.config_to_string case.Fuzz.Case.config
+        = Driver.config_to_string case'.Fuzz.Case.config);
       check_bool "trip round trips" true
         (case.Fuzz.Case.trip = case'.Fuzz.Case.trip);
       check_int "seed round trips" case.Fuzz.Case.setup_seed
         case'.Fuzz.Case.setup_seed
-  done
+  done;
+  check_bool "reuse=none parses" true
+    (Result.map
+       (fun c -> c.Fuzz.Case.config.Driver.reuse)
+       (Fuzz.Case.of_string
+          "// fuzz-config: reuse=none\nint32 a[8] @ 0;\n\
+           for (i = 0; i < 8; i++) { a[i] = 1; }\n")
+    = Ok Driver.No_reuse)
+
+(* One codec for reproducer headers, cache keys and serve configs: both
+   the text and the JSON form invert on every generated configuration. *)
+let prop_config_codec_round_trip =
+  QCheck.Test.make ~count:500 ~name:"config codec round trip" QCheck.int
+    (fun seed ->
+      let prng = Prng.create ~seed in
+      let config =
+        {
+          (let machine = Fuzz.Genloop.gen_machine prng in
+           Fuzz.Genloop.gen_config prng ~machine)
+          with
+          Driver.cleanup = Prng.bool prng;
+        }
+      in
+      Driver.config_of_string (Driver.config_to_string config) = Ok config
+      && Serve.Protocol.config_of_json (Serve.Protocol.config_to_json config)
+         = Ok config)
+
+(* Serve cache keys and committed reproducer headers are this string: a
+   change to it orphans every cached artifact and reproducer. *)
+let test_config_string_pinned () =
+  Alcotest.(check string)
+    "default" "vl=16 policy=dominant reuse=sp memnorm=1 reassoc=0 cse=1 \
+               hoist=1 unroll=1 specialize=1 peel=0 cleanup=0"
+    (Driver.config_to_string Driver.default)
+
+(* Each committed reproducer header parses to the configuration it was
+   found under. A new reproducer adds its line here. *)
+let reproducer_configs =
+  [
+    ( "native-signed-overflow-ub.simd",
+      "vl=4 policy=zero reuse=plain memnorm=0 reassoc=0 cse=0 hoist=0 \
+       unroll=1 specialize=0 peel=0 cleanup=0 seed=0" );
+    ( "pc-unroll-carry-chain-eager.simd",
+      "vl=8 policy=eager reuse=pc memnorm=0 reassoc=0 cse=0 hoist=0 \
+       unroll=2 specialize=0 peel=0 cleanup=0 seed=0" );
+    ( "pc-unroll-carry-chain-one-stmt.simd",
+      "vl=8 policy=zero reuse=pc memnorm=0 reassoc=0 cse=0 hoist=0 \
+       unroll=2 specialize=0 peel=0 cleanup=0 seed=0" );
+    ( "pc-unroll-carry-chain-two-stores.simd",
+      "vl=16 policy=zero reuse=pc memnorm=0 reassoc=0 cse=0 hoist=0 \
+       unroll=2 specialize=0 peel=0 cleanup=0 seed=0" );
+    ( "pc-unroll-carry-chain-vl32.simd",
+      "vl=32 policy=eager reuse=pc memnorm=0 reassoc=0 cse=0 hoist=0 \
+       unroll=2 specialize=0 peel=0 cleanup=0 seed=0" );
+  ]
+
+let test_reproducer_headers_pinned () =
+  match fuzz_corpus_dir with
+  | None -> Alcotest.fail "corpus/fuzz directory not found"
+  | Some dir ->
+    let files =
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".simd")
+      |> List.sort compare
+    in
+    check_bool "every reproducer pinned" true
+      (files = List.map fst reproducer_configs);
+    List.iter
+      (fun (f, expected) ->
+        match Fuzz.Case.of_file (Filename.concat dir f) with
+        | Error m -> Alcotest.failf "%s: %s" f m
+        | Ok case ->
+          Alcotest.(check string)
+            f expected
+            (Printf.sprintf "%s seed=%d"
+               (Driver.config_to_string case.Fuzz.Case.config)
+               case.Fuzz.Case.setup_seed))
+      reproducer_configs
 
 let test_campaign_deterministic () =
   let record () =
@@ -62,7 +139,7 @@ let test_campaign_deterministic () =
       log :=
         ( index,
           Pp.program_to_string case.Fuzz.Case.program,
-          Fuzz.Case.config_to_string case.Fuzz.Case.config,
+          Driver.config_to_string case.Fuzz.Case.config,
           Fuzz.Oracle.outcome_name outcome )
         :: !log
     in
@@ -98,6 +175,12 @@ let test_shrinker_minimizes () =
     else pick ()
   in
   let case = pick () in
+  let case =
+    {
+      case with
+      Fuzz.Case.config = { case.Fuzz.Case.config with Driver.cleanup = true };
+    }
+  in
   (* Synthetic failure: any program that still loads something. *)
   let oracle (c : Fuzz.Case.t) =
     if
@@ -114,6 +197,12 @@ let test_shrinker_minimizes () =
   check_bool "fewer or equal arrays" true
     (List.length min.Fuzz.Case.program.Ast.arrays
     <= List.length case.Fuzz.Case.program.Ast.arrays);
+  (* the failure ignores the configuration, so every pass shrinks off *)
+  List.iter
+    (fun k ->
+      check_bool (k.Driver.name ^ " shrunk off") false
+        (k.Driver.on min.Fuzz.Case.config))
+    Driver.knobs;
   (* a passing case comes back unchanged *)
   let pass = { case with Fuzz.Case.setup_seed = case.Fuzz.Case.setup_seed } in
   check_bool "non-failure untouched" true
@@ -158,5 +247,10 @@ let suite =
         Alcotest.test_case "shrinker minimizes" `Quick test_shrinker_minimizes;
         Alcotest.test_case "reproducers stay fixed" `Quick
           test_replay_reproducers;
+        QCheck_alcotest.to_alcotest prop_config_codec_round_trip;
+        Alcotest.test_case "config string pinned" `Quick
+          test_config_string_pinned;
+        Alcotest.test_case "reproducer headers pinned" `Quick
+          test_reproducer_headers_pinned;
       ] );
   ]

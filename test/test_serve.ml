@@ -317,8 +317,8 @@ let test_protocol_roundtrip () =
     check_string "source" sample_source r.Serve.Protocol.source;
     check_bool "emits" true (r.Serve.Protocol.emits = req.Serve.Protocol.emits);
     check_string "config"
-      (Serve.Protocol.config_canonical config)
-      (Serve.Protocol.config_canonical r.Serve.Protocol.config)
+      (Driver.config_to_string config)
+      (Driver.config_to_string r.Serve.Protocol.config)
   | _ -> Alcotest.fail "round trip did not parse as Compile"
 
 let test_protocol_ops () =
@@ -366,15 +366,15 @@ let test_protocol_config_canonical () =
   let c1 = Driver.default in
   let c2 = { Driver.default with Driver.unroll = 4 } in
   check_bool "default equals itself" true
-    (Serve.Protocol.config_canonical c1 = Serve.Protocol.config_canonical c1);
+    (Driver.config_to_string c1 = Driver.config_to_string c1);
   check_bool "different configs differ" true
-    (Serve.Protocol.config_canonical c1 <> Serve.Protocol.config_canonical c2);
+    (Driver.config_to_string c1 <> Driver.config_to_string c2);
   (* config_of_json inverts config_to_json *)
   match Serve.Protocol.config_of_json (Serve.Protocol.config_to_json c2) with
   | Ok c ->
     check_string "json round trip"
-      (Serve.Protocol.config_canonical c2)
-      (Serve.Protocol.config_canonical c)
+      (Driver.config_to_string c2)
+      (Driver.config_to_string c)
   | Error m -> Alcotest.failf "config round trip: %s" m
 
 (* --- Compile ---------------------------------------------------------- *)
@@ -569,6 +569,48 @@ let test_server_batch_order_and_dedupe () =
       let responses2, _ = Serve.Server.handle_batch server batch in
       check_bool "cache replay byte identical" true (responses = responses2);
       check_int "replay hits" 1 (Cas.stats cas).Cas.hits)
+
+(* The latency window keeps the newest 65 536 samples. The first batch
+   compiles 64 distinct configurations, so it is far slower than the hit
+   batches after it; once 1 024 hit batches have filled the window it must
+   be gone from the percentiles. A server's batch time never exceeds the
+   wall time the caller saw around [handle_batch]. *)
+let test_server_latency_window () =
+  with_tmp_dir (fun dir ->
+      let server = Serve.Server.create ~cache:(Cas.create ~dir ()) () in
+      let latency () =
+        match Json.member "latency_ms" (Serve.Server.telemetry server) with
+        | Some doc ->
+          let num key =
+            match Json.member key doc with
+            | Some (Json.Int n) -> float_of_int n
+            | Some (Json.Float f) -> f
+            | _ -> Alcotest.failf "latency_ms.%s missing" key
+          in
+          (num "samples", num "p50", num "p90", num "p99", num "max")
+        | None -> Alcotest.fail "no latency_ms"
+      in
+      let timed batch =
+        let t0 = Unix.gettimeofday () in
+        ignore (Serve.Server.handle_batch server batch);
+        (Unix.gettimeofday () -. t0) *. 1000.
+      in
+      ignore
+        (timed
+           (List.init 64 (fun u ->
+                compile_line
+                  ~config:{ Driver.default with Driver.unroll = u + 1 }
+                  sample_source)));
+      let samples, _, _, _, _ = latency () in
+      check_int "first batch" 64 (int_of_float samples);
+      let hit = List.init 64 (fun _ -> compile_line sample_source) in
+      let walls = List.init 1024 (fun _ -> timed hit) in
+      let samples, p50, p90, p99, max = latency () in
+      check_int "window full" 65536 (int_of_float samples);
+      check_bool "percentiles ordered" true
+        (0. < p50 && p50 <= p90 && p90 <= p99 && p99 <= max);
+      check_bool "first batch evicted" true
+        (max <= List.fold_left Float.max 0. walls))
 
 let test_server_deterministic_across_jobs () =
   let batch =
@@ -810,6 +852,7 @@ let suite =
       [
         Alcotest.test_case "batch order and dedupe" `Quick
           test_server_batch_order_and_dedupe;
+        Alcotest.test_case "latency window" `Quick test_server_latency_window;
         Alcotest.test_case "deterministic across jobs" `Quick
           test_server_deterministic_across_jobs;
         Alcotest.test_case "shutdown and in-batch stats" `Quick

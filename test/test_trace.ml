@@ -169,18 +169,19 @@ let test_schema () =
   (* every Pass event name is either a registered pipeline pass or a
      structural stage *)
   let structural = [ "derive_epilogues"; "finalize_reductions"; "dce" ] in
+  let knob_names = List.map (fun k -> k.Driver.name) Driver.knobs in
   List.iter
     (function
       | Trace.Pass { name; _ } ->
         check_bool ("known pass name: " ^ name) true
-          (List.mem name Trace.pass_names || List.mem name structural)
+          (List.mem name knob_names || List.mem name structural)
       | _ -> ())
     events;
   (* pass events appear in pipeline application order *)
   let order =
     List.filter_map
       (function
-        | Trace.Pass { name; _ } when List.mem name Trace.pass_names ->
+        | Trace.Pass { name; _ } when List.mem name knob_names ->
           Some name
         | _ -> None)
       events
@@ -305,13 +306,13 @@ let test_bisect_prefix_configs () =
       setup_seed = 1;
     }
   in
-  let n = List.length Trace.pass_names in
+  let n = List.length Driver.knobs in
   let none_on = (Fuzz.Bisect.with_prefix case 0).Fuzz.Case.config in
   List.iter
-    (fun p ->
-      check_bool ("prefix 0 disables " ^ p) false
-        (Fuzz.Bisect.enabled_in none_on p))
-    Trace.pass_names;
+    (fun k ->
+      check_bool ("prefix 0 disables " ^ k.Driver.name) false
+        (k.Driver.on none_on))
+    Driver.knobs;
   check_bool "full prefix leaves the config unchanged" true
     ((Fuzz.Bisect.with_prefix case n).Fuzz.Case.config = case.Fuzz.Case.config)
 
