@@ -3,29 +3,24 @@
    behind each experiment with Bechamel — one Test.make per table/figure.
 
    Usage:  dune exec bench/main.exe [-- --loops N] [--jobs N] [--no-bench]
-           [--json PATH] [--cache DIR]
+           [--json PATH]
    N defaults to 50 (the paper's benchmark size). --jobs N computes the
    five figure/table artifacts on a Simd.Par.Pool of N workers (the
    printed artifacts are identical to the sequential run; the pool report
    goes to stderr). --json also writes every figure/table row, the static
    cost reports of the benchmark programs under each policy, and the
-   Bechamel timings to PATH as one JSON document. The static reports are
-   served from the content-addressed artifact cache at --cache DIR
-   (default _bench_cache; --no-cache disables) — a scheme whose program,
-   config, and library version are unchanged since the last run is not
-   recompiled, and the report notes the time that saved. *)
+   Bechamel timings to PATH as one JSON document. *)
 
 open Bechamel
 open Toolkit
 
 let machine = Simd.Machine.default
 
-let loops, jobs, run_bench, json_path, cache_dir =
+let loops, jobs, run_bench, json_path =
   let loops = ref 50 in
   let jobs = ref 1 in
   let bench = ref true in
   let json = ref None in
-  let cache = ref (Some "_bench_cache") in
   let rec parse = function
     | [] -> ()
     | "--loops" :: n :: rest ->
@@ -40,16 +35,10 @@ let loops, jobs, run_bench, json_path, cache_dir =
     | "--json" :: path :: rest ->
       json := Some path;
       parse rest
-    | "--cache" :: dir :: rest ->
-      cache := Some dir;
-      parse rest
-    | "--no-cache" :: rest ->
-      cache := None;
-      parse rest
     | _ :: rest -> parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (!loops, !jobs, !bench, !json, !cache)
+  (!loops, !jobs, !bench, !json)
 
 (* ------------------------------------------------------------------ *)
 (* Regenerate the paper's tables and figures                           *)
@@ -254,13 +243,7 @@ let timings =
    changed the IR, and their operation-count deltas — and with the static
    verifier's verdict (Simd.Check): per-boundary violations (none, for a
    healthy compiler) and the proof obligations discharged — plus the
-   simd-lint/1 report (Simd.Lint) of wasted or suspicious vector code.
-
-   Each (program, policy) scheme's report is served from the artifact
-   cache: the key covers library version, program source, and canonical
-   config, so an unchanged scheme is never recompiled across bench runs.
-   The cached payload remembers how long the cold compile took — the time
-   a hit saves. *)
+   simd-lint/1 report (Simd.Lint) of wasted or suspicious vector code. *)
 let compile_scheme program policy : Simd.Json.t option =
   let trace = Simd.Trace.create () in
   match
@@ -296,62 +279,6 @@ let compile_scheme program policy : Simd.Json.t option =
          ])
   | Simd.Driver.Scalar _ -> None
 
-type report_cache_stats = {
-  mutable sr_hits : int;
-  mutable sr_misses : int;
-  mutable sr_saved_ms : float;
-}
-
-let report_cache = { sr_hits = 0; sr_misses = 0; sr_saved_ms = 0. }
-
-(* Cold compiles wrap the document with their own elapsed time; a hit
-   replays the document and books that time as saved. A scalar outcome is
-   cached too (as null), so unvectorizable schemes are not re-attempted. *)
-let compile_scheme_cached cas program policy : Simd.Json.t option =
-  let key =
-    Simd.Cas.key
-      [
-        "bench-static/1";
-        Simd.Serve.Protocol.library_version;
-        Simd.Driver.config_to_string
-          (config policy Simd.Driver.Software_pipelining);
-        Simd.Pp.program_to_string program;
-      ]
-  in
-  let unwrap doc =
-    match
-      (Simd.Json.member "elapsed_ms" doc, Simd.Json.member "doc" doc)
-    with
-    | Some (Simd.Json.Float ms), Some payload -> Some (ms, payload)
-    | _ -> None
-  in
-  let hit =
-    match Simd.Cas.find cas ~key with
-    | None -> None
-    | Some payload -> (
-      match Simd.Json.of_string payload with
-      | Ok doc -> unwrap doc
-      | Error _ -> None)
-  in
-  match hit with
-  | Some (ms, payload) ->
-    report_cache.sr_hits <- report_cache.sr_hits + 1;
-    report_cache.sr_saved_ms <- report_cache.sr_saved_ms +. ms;
-    (match payload with Simd.Json.Null -> None | doc -> Some doc)
-  | None ->
-    report_cache.sr_misses <- report_cache.sr_misses + 1;
-    let t0 = Unix.gettimeofday () in
-    let result = compile_scheme program policy in
-    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    let payload = Option.value ~default:Simd.Json.Null result in
-    Simd.Cas.store cas ~key
-      (Simd.Json.to_line
-         (Simd.Json.Obj
-            [
-              ("elapsed_ms", Simd.Json.Float elapsed_ms); ("doc", payload);
-            ]));
-    result
-
 let static_reports () : Simd.Json.t =
   let programs =
     [
@@ -360,30 +287,17 @@ let static_reports () : Simd.Json.t =
       ("table2_S4L4_int16", table2_program);
     ]
   in
-  let compile =
-    match cache_dir with
-    | None -> compile_scheme
-    | Some dir -> compile_scheme_cached (Simd.Cas.create ~dir ())
-  in
-  let doc =
-    Simd.Json.Obj
-      (List.map
-         (fun (label, program) ->
-           ( label,
-             Simd.Json.Obj
-               (List.filter_map
-                  (fun policy ->
-                    compile program policy
-                    |> Option.map (fun d -> (Simd.Policy.name policy, d)))
-                  Simd.Policy.all) ))
-         programs)
-  in
-  if cache_dir <> None then
-    Format.eprintf
-      "static reports: %d schemes from cache (%.0f ms of compilation \
-       saved), %d compiled cold@."
-      report_cache.sr_hits report_cache.sr_saved_ms report_cache.sr_misses;
-  doc
+  Simd.Json.Obj
+    (List.map
+       (fun (label, program) ->
+         ( label,
+           Simd.Json.Obj
+             (List.filter_map
+                (fun policy ->
+                  compile_scheme program policy
+                  |> Option.map (fun d -> (Simd.Policy.name policy, d)))
+                Simd.Policy.all) ))
+       programs)
 
 (* ------------------------------------------------------------------ *)
 (* The backend matrix: one placement per program, retargeted to every
@@ -472,9 +386,6 @@ let () =
   match json_path with
   | None -> ()
   | Some path ->
-    (* Bind first: report_cache must be populated before it is rendered
-       (list-element evaluation order is unspecified). *)
-    let reports = static_reports () in
     let doc =
       Simd.Json.Obj
         [
@@ -484,17 +395,8 @@ let () =
           ("table1", Simd.Suite.speedup_table_to_json table1);
           ("table2", Simd.Suite.speedup_table_to_json table2);
           ("coverage", Simd.Suite.coverage_to_json cov);
-          ("static_reports", reports);
+          ("static_reports", static_reports ());
           ("backends", backends_json ());
-          ( "static_reports_cache",
-            if cache_dir = None then Simd.Json.Null
-            else
-              Simd.Json.Obj
-                [
-                  ("hits", Simd.Json.Int report_cache.sr_hits);
-                  ("misses", Simd.Json.Int report_cache.sr_misses);
-                  ("saved_ms", Simd.Json.Float report_cache.sr_saved_ms);
-                ] );
           ( "timings_ns_per_run",
             Simd.Json.Obj
               (List.map (fun (n, e) -> (n, Simd.Json.Float e)) timings) );

@@ -26,10 +26,18 @@ let extensions ~loops:_ ~seed:_ () =
   (* The future-work extension measurements quoted in EXPERIMENTS.md. *)
   let report label ?(config = Simd.Driver.default) src =
     let program = Simd.parse_exn src in
-    (match Simd.verify ~config program with
+    let o =
+      match Simd.Driver.simdize config program with
+      | Simd.Driver.Simdized o -> o
+      | Simd.Driver.Scalar r ->
+        failwith
+          (Format.asprintf "%s: not simdized: %a" label Simd.Driver.pp_reason r)
+    in
+    (match Simd.Measure.verify_outcome program o with
     | Ok () -> ()
     | Error m -> failwith (label ^ ": " ^ m));
-    let sample, opd, speedup = Simd.measure ~config program in
+    let sample = Simd.Measure.of_outcome program o in
+    let opd = Simd.Measure.opd sample and speedup = Simd.Measure.speedup sample in
     let c = sample.Simd.Measure.counts in
     Format.printf
       "%-28s %8.3f opd  %6.2fx speedup  (LB %.2fx; %d loads, %d shifts, %d \

@@ -34,29 +34,16 @@ let policy_conv = name_conv "policy" Simd.Policy.of_name Simd.Policy.name
 let reuse_conv =
   name_conv "reuse strategy" Simd.Driver.reuse_of_name Simd.Driver.reuse_name
 
+(* [vir] and [graph] print the compiler's own views; every other kind
+   names a C backend through the backend registry (so [c] is portable). *)
 let emit_conv =
-  let parse = function
-    | "vir" -> Ok `Vir
-    | "c" | "portable" -> Ok `Portable
-    | "altivec" -> Ok `Altivec
-    | "sse" -> Ok `Sse
-    | "avx2" -> Ok `Avx2
-    | "neon" -> Ok `Neon
-    | "graph" -> Ok `Graph
-    | s -> Error (`Msg (Printf.sprintf "unknown output kind %S" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt k ->
-        Format.pp_print_string fmt
-          (match k with
-          | `Vir -> "vir"
-          | `Portable -> "c"
-          | `Altivec -> "altivec"
-          | `Sse -> "sse"
-          | `Avx2 -> "avx2"
-          | `Neon -> "neon"
-          | `Graph -> "graph") )
+  name_conv "output kind"
+    (function
+      | "vir" -> Some `Vir
+      | "graph" -> Some `Graph
+      | s -> Option.map (fun b -> `Backend b) (Simd.Backend.of_name s))
+    (function
+      | `Vir -> "vir" | `Graph -> "graph" | `Backend b -> Simd.Backend.name b)
 
 let trace_conv =
   let parse = function
@@ -201,15 +188,7 @@ let run file policy reuse memnorm reassoc peel unroll cleanup vector_len emit
         List.iter
           (fun (_, g) -> Format.printf "%a@." Simd.Graph.pp g)
           o.Simd.Driver.graphs
-      | (`Portable | `Altivec | `Sse | `Avx2 | `Neon) as kind ->
-        let backend =
-          match kind with
-          | `Portable -> Simd.Backend.Portable
-          | `Altivec -> Simd.Backend.Altivec
-          | `Sse -> Simd.Backend.Sse
-          | `Avx2 -> Simd.Backend.Avx2
-          | `Neon -> Simd.Backend.Neon
-        in
+      | `Backend backend ->
         if Simd.Backend.supports_vl backend vector_len then
           print_string (Simd.Backend.unit_for backend o.Simd.Driver.prog)
         else begin
@@ -225,18 +204,19 @@ let run file policy reuse memnorm reassoc peel unroll cleanup vector_len emit
       if stats then
         print_endline
           (Simd.Opt.Report.to_string ~indent:2 (Simd.Driver.report o));
+      (* --simulate and --verify run the compilation printed above. *)
       if simulate then begin
-        match Simd.measure ~config ?trip program with
-        | sample, opd, speedup ->
-          Format.printf "// counts: %s@." (Simd.Exec.show_counts sample.Simd.Measure.counts);
-          Format.printf "// operations per datum: %.3f (LB %.3f, SEQ %.3f)@." opd
-            (Simd.Lb.opd sample.Simd.Measure.lb)
-            (Simd.Lb.seq_opd ~analysis:o.Simd.Driver.analysis);
-          Format.printf "// speedup vs ideal scalar: %.2fx@." speedup
-        | exception Simd.Measure.Not_simdized m -> Format.eprintf "simulate: %s@." m
+        let sample = Simd.Measure.of_outcome ?trip program o in
+        Format.printf "// counts: %s@." (Simd.Exec.show_counts sample.Simd.Measure.counts);
+        Format.printf "// operations per datum: %.3f (LB %.3f, SEQ %.3f)@."
+          (Simd.Measure.opd sample)
+          (Simd.Lb.opd sample.Simd.Measure.lb)
+          (Simd.Lb.seq_opd ~analysis:o.Simd.Driver.analysis);
+        Format.printf "// speedup vs ideal scalar: %.2fx@."
+          (Simd.Measure.speedup sample)
       end;
       if verify then begin
-        match Simd.verify ~config ?trip program with
+        match Simd.Measure.verify_outcome ?trip program o with
         | Ok () -> Format.printf "// verify: OK (simdized == scalar)@."
         | Error m ->
           Format.eprintf "verify FAILED: %s@." m;

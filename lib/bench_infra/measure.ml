@@ -115,19 +115,26 @@ let run ~(config : Simd_codegen.Driver.config) ?setup_seed ?trip
     raise (Not_simdized (Format.asprintf "%a" Simd_codegen.Driver.pp_reason r))
   | Simd_codegen.Driver.Simdized o -> of_outcome ?setup_seed ?trip program o
 
-(** [verify_first ~config program] — differential check before measuring
-    (used by experiment drivers in paranoid mode and by the coverage
-    driver). *)
-let verify ~(config : Simd_codegen.Driver.config) ?(setup_seed = 0x5EED) ?trip
+(** [verify_outcome ?setup_seed ?trip program o] — the differential check
+    of an already-simdized compilation: scalar interpreter and [o.prog] on
+    identical noise-filled memory, whole arenas compared. The twin of
+    {!of_outcome}. *)
+let verify_outcome ?(setup_seed = 0x5EED) ?trip (program : Ast.program)
+    (o : Simd_codegen.Driver.outcome) : (unit, string) result =
+  let setup =
+    Simd_sim.Run.prepare ~seed:setup_seed ?trip
+      ~machine:o.Simd_codegen.Driver.config.Simd_codegen.Driver.machine program
+  in
+  match Simd_sim.Run.verify setup o.Simd_codegen.Driver.prog with
+  | Ok () -> Ok ()
+  | Error m -> Error (Format.asprintf "%a" Simd_sim.Run.pp_mismatch m)
+
+(** [verify ~config program] — simdize, then {!verify_outcome}; a scalar
+    fallback is an [Error] starting ["not simdized"]. *)
+let verify ~(config : Simd_codegen.Driver.config) ?setup_seed ?trip
     (program : Ast.program) : (unit, string) result =
   match Simd_codegen.Driver.simdize config program with
   | Simd_codegen.Driver.Scalar r ->
     Error (Format.asprintf "not simdized: %a" Simd_codegen.Driver.pp_reason r)
-  | Simd_codegen.Driver.Simdized o -> (
-    let setup =
-      Simd_sim.Run.prepare ~seed:setup_seed ?trip
-        ~machine:config.Simd_codegen.Driver.machine program
-    in
-    match Simd_sim.Run.verify setup o.Simd_codegen.Driver.prog with
-    | Ok () -> Ok ()
-    | Error m -> Error (Format.asprintf "%a" Simd_sim.Run.pp_mismatch m))
+  | Simd_codegen.Driver.Simdized o ->
+    verify_outcome ?setup_seed ?trip program o

@@ -53,10 +53,22 @@ val run :
 (** Simdize and execute one loop. Raises {!Not_simdized} on scalar
     fallback. *)
 
+val verify_outcome :
+  ?setup_seed:int ->
+  ?trip:int ->
+  Ast.program ->
+  Simd_codegen.Driver.outcome ->
+  (unit, string) result
+(** Differential check of an already-simdized compilation: run
+    [program]'s scalar reference and the outcome's vector program on
+    identical memory and diff the whole arena. The twin of
+    {!of_outcome}. *)
+
 val verify :
   config:Simd_codegen.Driver.config ->
   ?setup_seed:int ->
   ?trip:int ->
   Ast.program ->
   (unit, string) result
-(** Differential check (simdize + run both versions + whole-arena diff). *)
+(** [Driver.simdize] followed by {!verify_outcome}; a scalar fallback is
+    an [Error] starting ["not simdized"]. *)

@@ -354,14 +354,14 @@ type xstate = {
 
 let empty_state = { env = SM.empty; defs = SM.empty; defined = SS.empty }
 
-let rec eval_vexpr ctx ~quiet ~check_defs ~where st e : Absoff.t =
+let rec eval_vexpr ctx ~check_defs ~where st e : Absoff.t =
   let v = ctx.v in
-  let go e = eval_vexpr ctx ~quiet ~check_defs ~where st e in
+  let go e = eval_vexpr ctx ~check_defs ~where st e in
   match e with
   | Expr.Load a -> load_off ctx a
   | Expr.Splat _ -> Absoff.Bot
   | Expr.Temp x ->
-    if check_defs && not quiet && not (SS.mem x st.defined) then
+    if check_defs && not (SS.mem x st.defined) then
       report ctx ~rule:"def-before-use" ~severity:Error ~where
         (Printf.sprintf "temporary %s is read before any definition" x);
     (match SM.find_opt x st.env with Some o -> o | None -> Absoff.Top)
@@ -369,13 +369,12 @@ let rec eval_vexpr ctx ~quiet ~check_defs ~where st e : Absoff.t =
     let oa = go a and ob = go b in
     (match Absoff.cmp ~v oa ob with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "operands of v%s at offsets %a vs %a violate (C.3)"
-             (Pp.binop_symbol op) Absoff.pp oa Absoff.pp ob)
+      report ctx ~rule:"C.3" ~severity:Error ~where
+        (Format.asprintf
+           "operands of v%s at offsets %a vs %a violate (C.3)"
+           (Pp.binop_symbol op) Absoff.pp oa Absoff.pp ob)
     | Absoff.Proved ->
-      if not quiet then ctx.ops_proved <- ctx.ops_proved + 1
+      ctx.ops_proved <- ctx.ops_proved + 1
     | Absoff.Unknown -> ());
     Absoff.merge ~v oa ob
   | Expr.Shiftpair (x, y, s) when Expr.equal_vexpr x y ->
@@ -384,26 +383,22 @@ let rec eval_vexpr ctx ~quiet ~check_defs ~where st e : Absoff.t =
        half-reduced register is not lane-uniform, so treating it as
        "matches anything" would falsely discharge the (C.3) obligations
        of the combining ops downstream. *)
-    if not quiet then
-      range_check_amount ctx ~where ~kind:"vshiftpair amount"
-        ~elem_multiple:true s;
+    range_check_amount ctx ~where ~kind:"vshiftpair amount"
+      ~elem_multiple:true s;
     ignore (go x);
     Absoff.Top
   | Expr.Shiftpair (x, y, s) ->
     let ox = go x and oy = go y in
     (match Absoff.cmp ~v ox oy with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "vshiftpair halves at offsets %a vs %a are not one stream"
-             Absoff.pp ox Absoff.pp oy)
+      report ctx ~rule:"C.3" ~severity:Error ~where
+        (Format.asprintf
+           "vshiftpair halves at offsets %a vs %a are not one stream"
+           Absoff.pp ox Absoff.pp oy)
     | Absoff.Proved | Absoff.Unknown -> ());
-    if not quiet then begin
-      adjacency_check ctx ~where x y;
-      range_check_amount ctx ~where ~kind:"vshiftpair amount"
-        ~elem_multiple:true s
-    end;
+    adjacency_check ctx ~where x y;
+    range_check_amount ctx ~where ~kind:"vshiftpair amount"
+      ~elem_multiple:true s;
     (* Selecting V bytes starting [s] bytes into the pair moves the stream
        offset down by [s] (mod V) — both the left and right lowering of a
        [from -> to] stream shift reduce to this. *)
@@ -412,15 +407,13 @@ let rec eval_vexpr ctx ~quiet ~check_defs ~where st e : Absoff.t =
     let ox = go x and oy = go y in
     (match Absoff.cmp ~v ox oy with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "vsplice operands at offsets %a vs %a violate (C.3)" Absoff.pp
-             ox Absoff.pp oy)
+      report ctx ~rule:"C.3" ~severity:Error ~where
+        (Format.asprintf
+           "vsplice operands at offsets %a vs %a violate (C.3)" Absoff.pp
+           ox Absoff.pp oy)
     | Absoff.Proved | Absoff.Unknown -> ());
-    if not quiet then
-      range_check_amount ctx ~where ~kind:"vsplice point"
-        ~elem_multiple:false p;
+    range_check_amount ctx ~where ~kind:"vsplice point"
+      ~elem_multiple:false p;
     Absoff.merge ~v ox oy
   | Expr.Pack (x, y) -> (
     let ox = go x and oy = go y in
@@ -434,13 +427,12 @@ let rec eval_vexpr ctx ~quiet ~check_defs ~where st e : Absoff.t =
     let oa = go a and ob = go b in
     (match Absoff.cmp ~v oa ob with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "operands of vcmp_%s at offsets %a vs %a violate (C.3)"
-             (Simd_machine.Lane.cmp_name c) Absoff.pp oa Absoff.pp ob)
+      report ctx ~rule:"C.3" ~severity:Error ~where
+        (Format.asprintf
+           "operands of vcmp_%s at offsets %a vs %a violate (C.3)"
+           (Simd_machine.Lane.cmp_name c) Absoff.pp oa Absoff.pp ob)
     | Absoff.Proved ->
-      if not quiet then ctx.ops_proved <- ctx.ops_proved + 1
+      ctx.ops_proved <- ctx.ops_proved + 1
     | Absoff.Unknown -> ());
     Absoff.merge ~v oa ob
   | Expr.Sel (m, a, b) ->
@@ -457,14 +449,12 @@ let rec eval_vexpr ctx ~quiet ~check_defs ~where st e : Absoff.t =
         (fun (x, y) -> Absoff.cmp ~v x y = Absoff.Proved)
         [ (om, oa); (om, ob); (oa, ob) ]
     in
-    if refuted then begin
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "operands of vsel at offsets %a / %a / %a violate (C.3)"
-             Absoff.pp om Absoff.pp oa Absoff.pp ob)
-    end
-    else if proved && not quiet then ctx.ops_proved <- ctx.ops_proved + 1;
+    if refuted then
+      report ctx ~rule:"C.3" ~severity:Error ~where
+        (Format.asprintf
+           "operands of vsel at offsets %a / %a / %a violate (C.3)"
+           Absoff.pp om Absoff.pp oa Absoff.pp ob)
+    else if proved then ctx.ops_proved <- ctx.ops_proved + 1;
     Absoff.merge ~v om (Absoff.merge ~v oa ob)
 
 let stmt_label s =
@@ -483,54 +473,51 @@ let join_xstate ctx st_t st_f =
     defined = SS.union st_t.defined st_f.defined;
   }
 
-let exec_leaf ctx ~quiet ~check_defs ~region ~idx st (s : Expr.stmt) : xstate =
+let exec_leaf ctx ~check_defs ~region ~idx st (s : Expr.stmt) : xstate =
   let where = Printf.sprintf "%s#%d (%s)" region idx (stmt_label s) in
   match s with
   | Expr.Store (addr, value) ->
-    let ov = eval_vexpr ctx ~quiet ~check_defs ~where st value in
+    let ov = eval_vexpr ctx ~check_defs ~where st value in
     (* Store addresses are never rewritten by MemNorm: the address itself
        carries the alignment (C.2) is stated against. *)
     let oa = addr_off ctx addr in
     (match Absoff.cmp ~v:ctx.v ov oa with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.2" ~severity:Error ~where
-          (Format.asprintf
-             "root offset %a does not match store alignment %a (C.2)"
-             Absoff.pp ov Absoff.pp oa)
+      report ctx ~rule:"C.2" ~severity:Error ~where
+        (Format.asprintf
+           "root offset %a does not match store alignment %a (C.2)"
+           Absoff.pp ov Absoff.pp oa)
     | Absoff.Proved ->
-      if not quiet then ctx.stores_proved <- ctx.stores_proved + 1
+      ctx.stores_proved <- ctx.stores_proved + 1
     | Absoff.Unknown -> ());
     st
   | Expr.Storem (addr, value, mask) ->
-    let ov = eval_vexpr ctx ~quiet ~check_defs ~where st value in
-    let om = eval_vexpr ctx ~quiet ~check_defs ~where st mask in
+    let ov = eval_vexpr ctx ~check_defs ~where st value in
+    let om = eval_vexpr ctx ~check_defs ~where st mask in
     let oa = addr_off ctx addr in
     (match Absoff.cmp ~v:ctx.v ov oa with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.2" ~severity:Error ~where
-          (Format.asprintf
-             "root offset %a does not match store alignment %a (C.2)"
-             Absoff.pp ov Absoff.pp oa)
+      report ctx ~rule:"C.2" ~severity:Error ~where
+        (Format.asprintf
+           "root offset %a does not match store alignment %a (C.2)"
+           Absoff.pp ov Absoff.pp oa)
     | Absoff.Proved ->
-      if not quiet then ctx.stores_proved <- ctx.stores_proved + 1
+      ctx.stores_proved <- ctx.stores_proved + 1
     | Absoff.Unknown -> ());
     (* The (C.2) analogue for masks: a mask lane guards the store lane at
        the same stream position, so the mask stream must reach the store
        alignment too. *)
     (match Absoff.cmp ~v:ctx.v om oa with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.2" ~severity:Error ~where
-          (Format.asprintf
-             "mask offset %a does not match store alignment %a ((C.2) for \
-              masks)"
-             Absoff.pp om Absoff.pp oa)
+      report ctx ~rule:"C.2" ~severity:Error ~where
+        (Format.asprintf
+           "mask offset %a does not match store alignment %a ((C.2) for \
+            masks)"
+           Absoff.pp om Absoff.pp oa)
     | Absoff.Proved | Absoff.Unknown -> ());
     st
   | Expr.Assign (x, e) ->
-    let o = eval_vexpr ctx ~quiet ~check_defs ~where st e in
+    let o = eval_vexpr ctx ~check_defs ~where st e in
     {
       env = SM.add x o st.env;
       defs = SM.add x e st.defs;
@@ -541,9 +528,9 @@ let exec_leaf ctx ~quiet ~check_defs ~region ~idx st (s : Expr.stmt) : xstate =
     st
 
 (* Range-check the guard operands of an [If] before its branches run. *)
-let guard_checks ctx ~quiet ~region ~idx (_ : xstate) (s : Expr.stmt) =
+let guard_checks ctx ~region ~idx (_ : xstate) (s : Expr.stmt) =
   match s with
-  | Expr.If (c, _, _) when not quiet ->
+  | Expr.If (c, _, _) ->
     let where = Printf.sprintf "%s#%d (%s)" region idx (stmt_label s) in
     let a, b =
       match c with
@@ -555,14 +542,11 @@ let guard_checks ctx ~quiet ~region ~idx (_ : xstate) (s : Expr.stmt) =
     range_check_rexpr ctx ~where ~kind:"guard operand" b
   | _ -> ()
 
-let exec_stmts ctx ~quiet ~check_defs ~region idx0 st stmts =
+let exec_region ctx ~check_defs ~region st stmts =
   Dataflow.forward
-    ~leaf:(fun ~idx st s -> exec_leaf ctx ~quiet ~check_defs ~region ~idx st s)
-    ~guard:(fun ~idx st s -> guard_checks ctx ~quiet ~region ~idx st s)
-    ~join:(join_xstate ctx) ~idx0 st stmts
-
-let exec_region ctx ~quiet ~check_defs ~region st stmts =
-  exec_stmts ctx ~quiet ~check_defs ~region 0 st stmts
+    ~leaf:(fun ~idx st s -> exec_leaf ctx ~check_defs ~region ~idx st s)
+    ~guard:(fun ~idx st s -> guard_checks ctx ~region ~idx st s)
+    ~join:(join_xstate ctx) ~idx0:0 st stmts
 
 (* ------------------------------------------------------------------ *)
 (* Body well-formedness: the carried-temp seam discipline               *)
@@ -761,21 +745,20 @@ let body_entry_env ctx st0 body =
 
 let run_regions ctx ~prologue ~body ~epilogues =
   let stp =
-    exec_region ctx ~quiet:false ~check_defs:true ~region:"prologue"
-      empty_state prologue
+    exec_region ctx ~check_defs:true ~region:"prologue" empty_state prologue
   in
   body_wf ctx ~prologue_defined:stp.defined body;
   let entry = body_entry_env ctx stp body in
   (* Reads of temps defined later in the body are legal exactly for the
      carried names [body_wf] vets, so the env pass runs def-check-free. *)
   let stb =
-    exec_region ctx ~quiet:false ~check_defs:false ~region:"body"
-      { stp with env = entry } body
+    exec_region ctx ~check_defs:false ~region:"body" { stp with env = entry }
+      body
   in
   let _ =
     List.fold_left
       (fun (st, k) seg ->
-        ( exec_region ctx ~quiet:false ~check_defs:true
+        ( exec_region ctx ~check_defs:true
             ~region:(Printf.sprintf "epilogue[%d]" k) st seg,
           k + 1 ))
       (stb, 0) epilogues

@@ -46,11 +46,6 @@ type status =
   | Replaced of Policy.t
       (** structure not lowerable at V′ — re-placed with this policy *)
 
-let status_name = function
-  | Preserved -> "preserved"
-  | Repaired _ -> "repaired"
-  | Replaced _ -> "replaced"
-
 let pp_status fmt = function
   | Preserved -> Format.pp_print_string fmt "preserved"
   | Repaired n -> Format.fprintf fmt "repaired(%d)" n

@@ -35,11 +35,9 @@ type status =
           runtime reorganization direction) — the statement was re-placed
           from scratch with this policy *)
 
-val status_name : status -> string
-(** ["preserved"] / ["repaired"] / ["replaced"]. *)
-
 val pp_status : Format.formatter -> status -> unit
-(** Like {!status_name} but with the repair count / fallback policy. *)
+(** [preserved], [repaired(n)] with the repair count, or [replaced(p)]
+    with the fallback policy. *)
 
 type t = {
   outcome : Driver.outcome;

@@ -21,22 +21,8 @@ let probe () =
   List.find_map (fun name -> if works name then Some { cc_path = name } else None)
     candidates
 
-(* The cache is a [ref] rather than a [lazy] so tests can force a re-probe
-   (e.g. after setting SIMD_CC). *)
-let cache : t option option ref = ref None
-
-let find () =
-  match !cache with
-  | Some r -> r
-  | None ->
-    let r = probe () in
-    cache := Some r;
-    r
-
-let rediscover () =
-  let r = probe () in
-  cache := Some r;
-  r
+let cache = lazy (probe ())
+let find () = Lazy.force cache
 
 let read_tail path =
   try

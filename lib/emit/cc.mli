@@ -18,9 +18,6 @@ val id : t -> string
 val find : unit -> t option
 (** The process-wide cached probe result. [None]: no C compiler on PATH. *)
 
-val rediscover : unit -> t option
-(** Re-run the probe, bypassing and refreshing the cache (tests). *)
-
 val compile :
   t -> ?flags:string -> src:string -> exe:string -> unit -> (unit, string) result
 (** [compile t ~src ~exe ()] — compile one translation unit to an

@@ -1,12 +1,13 @@
-(** The differential oracle: run one fuzz case through the scalar
-    interpreter and the full simdization pipeline on identical noise-filled
-    memory (via {!Simd_bench.Measure.verify}) and classify the outcome.
+(** The differential oracle: compile one fuzz case once, under the
+    pass-boundary verifier, then run that compilation and the scalar
+    interpreter on identical noise-filled memory (via
+    {!Simd_bench.Measure.verify_outcome}) and classify the outcome.
 
     [Pass] — byte-identical arenas (including the guard-fallback path for
     trips below the [3B] bound). [Skipped] — the driver legitimately left
     the loop scalar (trip guard with a compile-time bound, peeling baseline
     refusals). [Static_violation] — the pass-boundary verifier
-    ({!Simd_check.Check}, run first) refuted an alignment or
+    ({!Simd_check.Check}, read first) refuted an alignment or
     well-formedness invariant: a miscompilation caught without executing
     anything. [Divergence] — the simdized execution produced different
     memory than the scalar oracle: a miscompilation. [Crash] — the compiler
@@ -51,43 +52,40 @@ let pp_outcome fmt = function
   | Divergence m -> Format.fprintf fmt "DIVERGENCE: %s" m
   | Crash m -> Format.fprintf fmt "CRASH: %s" m
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+(* The first error-severity violation of a checked compilation, prefixed
+   with the boundary that introduced it. Warnings do not fail a case. *)
+let first_error (o : Driver.outcome) : string option =
+  List.find_map
+    (fun (boundary, (v : Driver.Check.violation)) ->
+      if v.Driver.Check.severity = Driver.Check.Error then
+        Some
+          (Printf.sprintf "at %s: %s" boundary
+             (Driver.Check.violation_to_string v))
+      else None)
+    (Driver.check_violations o)
 
-(* The static half of the oracle: compile once with the pass-boundary
-   verifier on and surface the first Error-severity violation, prefixed
-   with the boundary that introduced it. Scalar fallbacks and warnings
-   fall through to the dynamic differential below. *)
-let static_check (c : Case.t) : string option =
-  match Driver.simdize ~check:true c.Case.config c.Case.program with
-  | Driver.Scalar _ -> None
+(** [classify case result] — the verdict on one [~check:true] compilation
+    of [case]: a refuted invariant first (a miscompilation even when the
+    arenas happen to agree), then the differential on that same
+    compilation. Simulator exceptions are folded into [Crash]. *)
+let classify (c : Case.t) : Driver.result -> outcome = function
+  | Driver.Scalar r ->
+    Skipped (Format.asprintf "not simdized: %a" Driver.pp_reason r)
   | Driver.Simdized o -> (
-    match
-      List.filter
-        (fun ((_ : string), (v : Driver.Check.violation)) ->
-          v.Driver.Check.severity = Driver.Check.Error)
-        (Driver.check_violations o)
-    with
-    | [] -> None
-    | (boundary, v) :: _ ->
-      Some
-        (Printf.sprintf "at %s: %s" boundary
-           (Driver.Check.violation_to_string v)))
+    match first_error o with
+    | Some msg -> Static_violation msg
+    | None -> (
+      match
+        Measure.verify_outcome ~setup_seed:c.Case.setup_seed ?trip:c.Case.trip
+          c.Case.program o
+      with
+      | Ok () -> Pass
+      | Error m -> Divergence m
+      | exception e -> Crash (Printexc.to_string e)))
 
-(** [run case] — classify one case: the static verifier first (a refuted
-    invariant is a miscompilation even when the arenas happen to agree),
-    then the dynamic differential. Never raises: compiler and simulator
-    exceptions are folded into [Crash]. *)
+(** [run case] — compile once with the verifier on and {!classify}. Never
+    raises: a compiler or verifier exception is a [Crash]. *)
 let run (c : Case.t) : outcome =
-  match static_check c with
-  | Some msg -> Static_violation msg
-  | None | (exception _) -> (
-    match
-      Measure.verify ~config:c.Case.config ~setup_seed:c.Case.setup_seed
-        ?trip:c.Case.trip c.Case.program
-    with
-    | Ok () -> Pass
-    | Error m when starts_with ~prefix:"not simdized" m -> Skipped m
-    | Error m -> Divergence m
-    | exception e -> Crash (Printexc.to_string e))
+  match Driver.simdize ~check:true c.Case.config c.Case.program with
+  | r -> classify c r
+  | exception e -> Crash (Printexc.to_string e)

@@ -14,7 +14,13 @@ val same_class : outcome -> outcome -> bool
 val outcome_name : outcome -> string
 val pp_outcome : Format.formatter -> outcome -> unit
 
+val classify : Case.t -> Simd_codegen.Driver.result -> outcome
+(** The verdict on one [~check:true] compilation of the case:
+    [Skipped] on scalar fallback, [Static_violation] on the first
+    error-severity violation, else the differential of that same
+    compilation against the scalar interpreter ([Pass] / [Divergence];
+    a simulator exception is a [Crash]). *)
+
 val run : Case.t -> outcome
-(** Classify one case: static verifier first ([Static_violation] when a
-    [~check:true] compilation reports an error-severity violation), then
-    the dynamic differential. Never raises. *)
+(** Compile the case once with [~check:true] and {!classify} it; a
+    compiler or verifier exception is a [Crash]. Never raises. *)

@@ -393,8 +393,6 @@ let pp_report fmt (r : report) =
   List.iter (fun f -> Format.fprintf fmt "%a@\n" pp_finding f) r.findings;
   Format.fprintf fmt "%d error(s), %d warning(s)" r.errors r.warnings
 
-let report_to_string (r : report) = Format.asprintf "%a" pp_report r
-
 let report_to_json (r : report) : Json.t =
   Json.Obj
     [

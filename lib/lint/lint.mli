@@ -42,7 +42,6 @@ val exit_code : strict:bool -> report -> int
 
 val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> report -> unit
-val report_to_string : report -> string
 
 val report_to_json : report -> Simd_support.Json.t
 (** The [simd-lint/1] document: schema tag, findings, per-rule counts

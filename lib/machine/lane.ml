@@ -103,8 +103,6 @@ let apply_cmp d c a b =
   | Eq -> s = 0
   | Ne -> s <> 0
 
-let pp_cmp fmt c = Format.pp_print_string fmt (cmp_name c)
-
 (** [apply d op a b] evaluates one lane, wrapping to width [d]. Inputs need
     not be canonical; the result always is. *)
 let apply d op a b =
@@ -122,5 +120,3 @@ let apply d op a b =
     | Xor -> Int64.logxor a b
   in
   canonicalize d raw
-
-let pp_binop fmt op = Format.pp_print_string fmt (binop_name op)

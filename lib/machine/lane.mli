@@ -40,9 +40,5 @@ val negate_cmp : cmp -> cmp
 val apply_cmp : width -> cmp -> int64 -> int64 -> bool
 (** Evaluate one lane comparison (signed, canonical). *)
 
-val pp_cmp : Format.formatter -> cmp -> unit
-
 val apply : width -> binop -> int64 -> int64 -> int64
 (** Evaluate one lane, wrapping to the width; the result is canonical. *)
-
-val pp_binop : Format.formatter -> binop -> unit

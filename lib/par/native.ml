@@ -8,7 +8,6 @@ module Oracle = Simd_fuzz.Oracle
 module Driver = Simd_codegen.Driver
 module Machine = Simd_machine.Config
 module Sim_run = Simd_sim.Run
-module Emit_portable = Simd_emit.Portable
 
 type t = {
   cc : Cc.t;
@@ -17,9 +16,7 @@ type t = {
   backends : Backend.id list;
 }
 
-let cc t = t.cc
 let cas t = t.cas
-let cache_dir t = Cas.dir t.cas
 let backends t = t.backends
 
 let cache_stats t =
@@ -55,26 +52,6 @@ let case_setup (case : Case.t) (config : Driver.config) =
   in
   Sim_run.prepare ~seed:case.Case.setup_seed ?trip
     ~machine:config.Driver.machine case.Case.program
-
-let harness_source_for backend (case : Case.t) : (string, string) result =
-  let config = case.Case.config in
-  let vl = Machine.vector_len config.Driver.machine in
-  if not (Backend.supports_vl backend vl) then
-    Error
-      (Printf.sprintf "backend %s does not support V = %d"
-         (Backend.name backend) vl)
-  else
-    match Driver.simdize config case.Case.program with
-    | Driver.Scalar reason ->
-      Error (Format.asprintf "not simdized: %a" Driver.pp_reason reason)
-    | Driver.Simdized o ->
-      let setup = case_setup case config in
-      Ok
-        (Backend.harness_for backend ~layout:setup.Sim_run.layout
-           ~params:setup.Sim_run.params ~trip:setup.Sim_run.trip o.Driver.prog)
-
-let harness_source (case : Case.t) : (string, string) result =
-  harness_source_for Backend.Portable case
 
 (* ------------------------------------------------------------------ *)
 (* Compile cache                                                       *)
@@ -145,20 +122,11 @@ let run_exe exe : (unit, string) result =
 (* ------------------------------------------------------------------ *)
 
 type verdict =
-  | Agrees
-  | Mismatch of string
-  | Cc_failed of string
+  | Agrees  (** harness printed OK and exited 0 *)
+  | Mismatch of string  (** harness detected a byte difference *)
+  | Cc_failed of string  (** the backend's unit did not compile *)
   | Not_applicable of string
-
-let verdict_name = function
-  | Agrees -> "agrees"
-  | Mismatch _ -> "mismatch"
-  | Cc_failed _ -> "cc-failed"
-  | Not_applicable _ -> "skipped"
-
-let verdict_detail = function
-  | Agrees -> ""
-  | Mismatch m | Cc_failed m | Not_applicable m -> m
+      (** the backend does not support the case's vector length *)
 
 (* One backend against an already-simdized case. *)
 let backend_verdict t backend ~setup (o : Driver.outcome) : verdict =
@@ -174,30 +142,19 @@ let backend_verdict t backend ~setup (o : Driver.outcome) : verdict =
     | Error m -> Cc_failed m
     | Ok exe -> ( match run_exe exe with Ok () -> Agrees | Error m -> Mismatch m)
 
-let case_matrix t (case : Case.t) : (Backend.id * verdict) list =
-  let config = case.Case.config in
-  match Driver.simdize config case.Case.program with
-  | Driver.Scalar reason ->
-    let m = Format.asprintf "not simdized: %a" Driver.pp_reason reason in
-    List.map (fun b -> (b, Not_applicable m)) t.backends
-  | Driver.Simdized o ->
-    let setup = case_setup case config in
-    List.map (fun b -> (b, backend_verdict t b ~setup o)) t.backends
-  | exception e ->
-    let m = "native: " ^ Printexc.to_string e in
-    List.map (fun b -> (b, Cc_failed m)) t.backends
-
 (* ------------------------------------------------------------------ *)
 (* The cross-checking oracle                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* One checked compilation feeds both oracles: the simulator verdict is
+   {!Oracle.classify} of it, and every harness is emitted from its
+   program. *)
 let check_exn t (case : Case.t) : Oracle.outcome =
-  let config = case.Case.config in
-  match Driver.simdize config case.Case.program with
-  | Driver.Scalar reason ->
-    Oracle.Skipped (Format.asprintf "not simdized: %a" Driver.pp_reason reason)
-  | Driver.Simdized o -> (
-    let setup = case_setup case config in
+  match Driver.simdize ~check:true case.Case.config case.Case.program with
+  | exception e -> Oracle.Crash ("native: " ^ Printexc.to_string e)
+  | Driver.Scalar _ as r -> Oracle.classify case r
+  | Driver.Simdized o as r -> (
+    let setup = case_setup case o.Driver.config in
     (* Every selected backend that supports the case's V runs natively;
        the rest are skipped (not failed). *)
     let verdicts =
@@ -220,7 +177,7 @@ let check_exn t (case : Case.t) : Oracle.outcome =
           match v with Mismatch m -> Some (Backend.name b ^ ": " ^ m) | _ -> None)
         verdicts
     in
-    let sim = Oracle.run case in
+    let sim = Oracle.classify case r in
     match sim with
     | _ when failed_cc <> [] ->
       Oracle.Crash
@@ -239,7 +196,6 @@ let check_exn t (case : Case.t) : Oracle.outcome =
         ("both oracles diverged: simulator: " ^ m ^ "; native: "
         ^ String.concat "; " mismatches)
     | (Oracle.Skipped _ | Oracle.Static_violation _ | Oracle.Crash _) -> sim)
-  | exception e -> Oracle.Crash ("native: " ^ Printexc.to_string e)
 
 let check t case =
   try check_exn t case

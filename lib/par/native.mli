@@ -40,9 +40,6 @@ val create :
     store (LRU; default unbounded, matching the historical behavior CI
     relies on). [Error] when no C compiler is on PATH. *)
 
-val cc : t -> Simd_emit.Cc.t
-val cache_dir : t -> string
-
 val backends : t -> Simd_emit.Backend.id list
 (** The backends this oracle exercises, in registry order. *)
 
@@ -53,38 +50,10 @@ val cas : t -> Simd_support.Cas.t
 val cache_stats : t -> int * int
 (** [(hits, misses)] of this oracle value so far (process-local). *)
 
-val harness_source_for :
-  Simd_emit.Backend.id -> Simd_fuzz.Case.t -> (string, string) result
-(** The case's complete self-checking C translation unit for one backend;
-    [Error] when the driver legitimately leaves the case scalar or the
-    backend does not support the case's vector length. *)
-
-val harness_source : Simd_fuzz.Case.t -> (string, string) result
-(** {!harness_source_for} the portable backend (the historical
-    single-backend entry point). *)
-
-(** One backend's native verdict on one case. *)
-type verdict =
-  | Agrees  (** harness printed OK and exited 0 *)
-  | Mismatch of string  (** harness detected a byte difference *)
-  | Cc_failed of string  (** the backend's unit did not compile *)
-  | Not_applicable of string
-      (** skipped: scalar fallback, or the backend does not support the
-          case's vector length *)
-
-val verdict_name : verdict -> string
-(** ["agrees"] / ["mismatch"] / ["cc-failed"] / ["skipped"]. *)
-
-val verdict_detail : verdict -> string
-
-val case_matrix :
-  t -> Simd_fuzz.Case.t -> (Simd_emit.Backend.id * verdict) list
-(** One verdict per selected backend for one case — the raw table the
-    CI backend-matrix job aggregates into [BENCH_backends.json]. *)
-
 val check : t -> Simd_fuzz.Case.t -> Simd_fuzz.Oracle.outcome
 (** Classify one case by the simulator {e and} every applicable
-    backend's native harness:
+    backend's native harness, both reading one [~check:true] compilation
+    (the simulator verdict is {!Simd_fuzz.Oracle.classify} of it):
 
     - simulator pass + every native harness OK ⇒ [Pass];
     - any native harness mismatch while the simulator passes ⇒

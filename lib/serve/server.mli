@@ -61,7 +61,9 @@ val listen_unix : t -> path:string -> unit
 (** Unix-domain-socket mode: bind [path] (replacing a stale socket file)
     and serve every accepted connection concurrently — connections are
     select-multiplexed in one process, each with its own reader state, so
-    batching stays per-client. A client that disconnects mid-batch, sends
+    batching stays per-client. Each readiness sweep serves at most one
+    batch per connection, so a client that pipelines many requests cannot
+    starve the others. A client that disconnects mid-batch, sends
     a malformed stream, or provokes an exception only ends its own
     connection; [{"op":"shutdown"}] from any client stops the daemon
     (removing the socket). *)

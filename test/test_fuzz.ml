@@ -232,6 +232,71 @@ let test_replay_reproducers () =
               (Format.asprintf "%a" Fuzz.Oracle.pp_outcome o)))
       files
 
+(* Reference for [Oracle.run]: two compilations, a checked one read only
+   for its first error-severity violation, then [Measure.verify]
+   compiling the case again and spotting a scalar fallback by its message
+   prefix. One checked compilation must classify every case the same
+   way, message included. *)
+let two_stage_reference (c : Fuzz.Case.t) : Fuzz.Oracle.outcome =
+  let static =
+    match Driver.simdize ~check:true c.Fuzz.Case.config c.Fuzz.Case.program with
+    | Driver.Scalar _ -> None
+    | Driver.Simdized o ->
+      List.find_map
+        (fun (boundary, (v : Check.violation)) ->
+          if v.Check.severity = Check.Error then
+            Some
+              (Printf.sprintf "at %s: %s" boundary
+                 (Check.violation_to_string v))
+          else None)
+        (Driver.check_violations o)
+  in
+  match static with
+  | Some m -> Fuzz.Oracle.Static_violation m
+  | None -> (
+    match
+      Measure.verify ~config:c.Fuzz.Case.config
+        ~setup_seed:c.Fuzz.Case.setup_seed ?trip:c.Fuzz.Case.trip
+        c.Fuzz.Case.program
+    with
+    | Ok () -> Fuzz.Oracle.Pass
+    | Error m when String.starts_with ~prefix:"not simdized" m ->
+      Fuzz.Oracle.Skipped m
+    | Error m -> Fuzz.Oracle.Divergence m
+    | exception e -> Fuzz.Oracle.Crash (Printexc.to_string e))
+
+let test_single_compile_matches_two_stage () =
+  let reproducers =
+    match fuzz_corpus_dir with
+    | None -> Alcotest.fail "corpus/fuzz directory not found"
+    | Some dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".simd")
+      |> List.sort compare
+      |> List.map (fun f ->
+             match Fuzz.Case.of_file (Filename.concat dir f) with
+             | Ok c -> (f, c)
+             | Error m -> Alcotest.failf "%s: %s" f m)
+  in
+  let prng = Prng.create ~seed:20040610 in
+  let generated =
+    List.init 500 (fun k ->
+        (Printf.sprintf "genloop #%d" k, Fuzz.Genloop.gen_case prng))
+  in
+  let show o = Format.asprintf "%a" Fuzz.Oracle.pp_outcome o in
+  let classes = Hashtbl.create 4 in
+  List.iter
+    (fun (label, c) ->
+      let got = Fuzz.Oracle.run c and want = two_stage_reference c in
+      Hashtbl.replace classes (Fuzz.Oracle.outcome_name got) ();
+      if got <> want then
+        Alcotest.failf "%s: one compile gives %s, two stages gave %s" label
+          (show got) (show want))
+    (reproducers @ generated);
+  (* the generated stream exercises more than one verdict *)
+  check_bool "passes and skips both seen" true
+    (Hashtbl.mem classes "pass" && Hashtbl.mem classes "skipped")
+
 let suite =
   [
     ( "fuzz",
@@ -247,6 +312,8 @@ let suite =
         Alcotest.test_case "shrinker minimizes" `Quick test_shrinker_minimizes;
         Alcotest.test_case "reproducers stay fixed" `Quick
           test_replay_reproducers;
+        Alcotest.test_case "one compile matches the two-stage oracle" `Quick
+          test_single_compile_matches_two_stage;
         QCheck_alcotest.to_alcotest prop_config_codec_round_trip;
         Alcotest.test_case "config string pinned" `Quick
           test_config_string_pinned;

@@ -803,6 +803,98 @@ let test_socket_two_clients () =
         | _, Unix.WEXITED 0 -> ()
         | _ -> Alcotest.fail "daemon did not exit cleanly"))
 
+(* Fair turns on the socket. With [~max_batch:1], client A pipelines 50
+   compiles in one write; once A's first reply arrives, client B asks for
+   stats. B must be answered before A's queue is drained: a server that
+   serves every batch a connection has buffered before returning to
+   select would count all 50 of A's compiles in B's reply. *)
+let test_socket_fair_turns () =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "sock" in
+      let pipelined = 50 in
+      match Unix.fork () with
+      | 0 ->
+        let server = Serve.Server.create ~max_batch:1 () in
+        (try Serve.Server.listen_unix server ~path with _ -> ());
+        Unix._exit 0
+      | pid ->
+        (* a failed check must not leave the daemon running *)
+        let reaped = ref false in
+        let reap () =
+          reaped := true;
+          snd (Unix.waitpid [] pid)
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            if not !reaped then begin
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (reap ())
+            end)
+        @@ fun () ->
+        let rec await n =
+          if Sys.file_exists path then ()
+          else if n = 0 then Alcotest.fail "socket never appeared"
+          else begin
+            Unix.sleepf 0.02;
+            await (n - 1)
+          end
+        in
+        await 250;
+        let connect () =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          fd
+        in
+        let send fd str =
+          check_int "request bytes written" (String.length str)
+            (Unix.write fd (Bytes.of_string str) 0 (String.length str))
+        in
+        let a = connect () in
+        let b = connect () in
+        let aic = Unix.in_channel_of_descr a in
+        let bic = Unix.in_channel_of_descr b in
+        send a
+          (String.concat ""
+             (List.init pipelined (fun k ->
+                  (* no code sections: 50 replies fit the socket buffer,
+                     so an unfair server finishes A instead of blocking *)
+                  Serve.Protocol.request_to_line
+                    (compile_request ~id:(Printf.sprintf "a%d" k) ~emits:[]
+                       sample_source)
+                  ^ "\n")));
+        let first = input_line aic in
+        send b ({|{"op":"stats"}|} ^ "\n");
+        (match Unix.select [ b ] [] [] 30.0 with
+        | [], _, _ -> Alcotest.fail "stats never answered"
+        | _ -> ());
+        let stats = Result.get_ok (Json.of_string (input_line bic)) in
+        let ok =
+          match Json.member "requests" stats with
+          | Some r -> (
+            match Json.member "ok" r with Some (Json.Int n) -> n | _ -> -1)
+          | None -> -1
+        in
+        check_bool
+          (Printf.sprintf "stats answered after %d of %d compiles" ok
+             pipelined)
+          true
+          (ok >= 1 && ok < pipelined);
+        (* A still gets every reply, in order. *)
+        let ids =
+          first :: List.init (pipelined - 1) (fun _ -> input_line aic)
+          |> List.map (fun l ->
+                 Json.member "id" (Result.get_ok (Json.of_string l)))
+        in
+        check_bool "a served in order" true
+          (ids
+          = List.init pipelined (fun k ->
+                Some (Json.String (Printf.sprintf "a%d" k))));
+        send a ({|{"op":"shutdown"}|} ^ "\n");
+        ignore (input_line aic);
+        close_in aic;
+        close_in bic;
+        check_bool "daemon exited cleanly" true (reap () = Unix.WEXITED 0))
+
 let suite =
   [
     ( "serve json",
@@ -862,6 +954,7 @@ let suite =
           test_server_poison_request;
         Alcotest.test_case "socket: two concurrent clients" `Quick
           test_socket_two_clients;
+        Alcotest.test_case "socket: fair turns" `Quick test_socket_fair_turns;
         Alcotest.test_case "no trailing newline" `Quick
           test_server_no_trailing_newline;
       ] );
